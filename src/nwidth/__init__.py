@@ -7,12 +7,11 @@ midpoint, measures empirical convergence orders, and extracts the
 optimal spline knots as eigenfunction zeros.
 """
 
-from .bspline import KnotVector, bspline_eval
 from .convergence import ConvergenceStudy, run_study
 from .eigensolver import Eigenpair, eigenfunction_values, top_eigenpairs, top_eigenvalues
 from .errors import NumericalError, NWidthError, ValidationError
 from .kernel import Interval, Kernel, factorial_scale, kernel_eval
-from .knots import KnotReport, eigenfunction_dump, extract_knots
+from .knots import KnotReport, extract_knots
 from .nwidths import (
     NWidthResult,
     conjecture_table,
@@ -32,19 +31,16 @@ __all__ = [
     "Interval",
     "Kernel",
     "KnotReport",
-    "KnotVector",
     "NWidthError",
     "NWidthResult",
     "NumericalError",
     "NystromSystem",
     "ValidationError",
     "assemble",
-    "bspline_eval",
     "build_grid",
     "conjecture_table",
     "conjecture_value",
     "dn_from_eigenvalue",
-    "eigenfunction_dump",
     "eigenfunction_values",
     "extract_knots",
     "factorial_scale",

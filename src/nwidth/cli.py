@@ -7,27 +7,26 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
 
-from ._io import atomic_write_text, fmt
-from .convergence import points_csv, run_study, summary_csv
+from ._io import atomic_write_text, json_text, records, write_rows
+from .convergence import (
+    POINTS_CSV_HEADER,
+    SUMMARY_CSV_HEADER,
+    point_rows,
+    points_csv,
+    run_study,
+    summary_csv,
+    summary_rows,
+)
 from .eigensolver import top_eigenpairs
 from .errors import NumericalError, ValidationError
 from .kernel import Interval, Kernel, MAX_R
-from .knots import curve_csv, extract_knots, knots_csv
-from .nwidths import (
-    conjecture_table,
-    nwidth_rows,
-    results_csv,
-    results_records,
-    rows_from_eigenvalues,
-)
+from .knots import KNOTS_CSV_HEADER, curve_csv, extract_knots, knot_rows, knots_csv
+from .nwidths import conjecture_table, nwidth_rows, results_csv, results_records
 from .nystrom import assemble, build_grid, matrix_text
-from .eigensolver import top_eigenvalues
 
 DEFAULT_M = 2047  # h = (b-a)/2048
 DEFAULT_H_LIST = tuple(2.0**-j for j in range(3, 10))
@@ -35,7 +34,7 @@ DEFAULT_H_REF = 2.0**-11
 
 _VALUE_FLAGS = {
     "--r", "--n", "--k", "--m", "--interval", "--h-list", "--h-ref",
-    "--tol", "--format", "--out", "--threads", "--dump-matrix", "--r-max",
+    "--tol", "--format", "--out", "--dump-matrix", "--r-max",
 }
 
 
@@ -51,10 +50,8 @@ class RunConfig:
     h_list: tuple[float, ...] = DEFAULT_H_LIST
     h_ref: float | None = DEFAULT_H_REF
     tol: float | None = None
-    tol_res: float = 1e-10
     fmt: str = "csv"
     out: str | None = None
-    threads: int = 1
     dump_matrix: str | None = None
 
 
@@ -133,20 +130,6 @@ def _parse_h_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_h(item) for item in text.split(",") if item.strip())
 
 
-def _resolve_threads(value: str | None, parser: _Parser) -> int:
-    if value is None:
-        value = os.environ.get("NWIDTH_THREADS")
-    if value is None:
-        return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        parser.error(f"--threads/NWIDTH_THREADS must be an integer, got '{value}'")
-    if threads < 1:
-        parser.error("--threads must be >= 1")
-    return threads
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nwidth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -159,8 +142,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--interval", default="0,1", help="endpoints 'a,b' (default 0,1)")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--threads", default=None,
-                       help="worker threads for assembly (default: NWIDTH_THREADS or all cores)")
 
     p = sub.add_parser("compute", help="n-width estimates for one r and a range of n")
     common(p)
@@ -195,18 +176,17 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(_merge_negative_values(list(argv)))
     try:
-        config = _config_from_namespace(ns, parser)
+        config = _config_from_namespace(ns)
     except ValidationError as exc:
         parser.error(str(exc))
     return config
 
 
-def _config_from_namespace(ns, parser: _Parser) -> RunConfig:
+def _config_from_namespace(ns) -> RunConfig:
     config = RunConfig(command=ns.command)
     config.fmt = ns.fmt
     config.out = ns.out
     config.interval = _parse_interval(ns.interval)
-    config.threads = _resolve_threads(ns.threads, parser)
 
     if ns.command != "conjecture-table":
         if ns.r < 1:
@@ -268,53 +248,35 @@ def _sibling_path(out: str, tag: str) -> str:
     return f"{root}_{tag}{ext or '.csv'}"
 
 
-def _run_compute(config: RunConfig) -> None:
-    system = assemble(Kernel(config.r, config.interval), build_grid(config.interval, config.m),
-                      threads=config.threads)
-    if config.dump_matrix:
-        atomic_write_text(config.dump_matrix, matrix_text(system))
-    count = max(config.n_values) + 1 - config.r
-    lambdas = top_eigenvalues(system, count)
-    rows = rows_from_eigenvalues(config.r, config.n_values, config.m, config.interval, lambdas)
+def _write_results(config: RunConfig, rows) -> None:
     if config.fmt == "json":
-        _write(config.out, json.dumps(results_records(rows), indent=2) + "\n")
+        _write(config.out, json_text(results_records(rows)))
     else:
         _write(config.out, results_csv(rows))
+
+
+def _run_compute(config: RunConfig) -> None:
+    if config.dump_matrix:
+        system = assemble(Kernel(config.r, config.interval), build_grid(config.interval, config.m))
+        atomic_write_text(config.dump_matrix, matrix_text(system))
+    _write_results(config, nwidth_rows(config.r, config.n_values, config.m, config.interval))
 
 
 def _run_conjecture_table(config: RunConfig) -> None:
-    rows = conjecture_table(config.r_max, range(6), config.m, config.interval,
-                            config.tol_res, config.threads)
-    if config.fmt == "json":
-        _write(config.out, json.dumps(results_records(rows), indent=2) + "\n")
-    else:
-        _write(config.out, results_csv(rows))
+    _write_results(config, conjecture_table(config.r_max, config.m, config.interval))
 
 
 def _run_convergence(config: RunConfig) -> None:
-    study = run_study(config.r, config.n_values, config.h_list, config.h_ref,
-                      config.interval, config.tol_res, config.threads)
+    study = run_study(config.r, config.n_values, config.h_list, config.h_ref, config.interval)
     for n, note_group in zip(study.n_list, study.notes):
         for note in note_group:
             print(f"note: r={study.r} n={n}: {note}", file=sys.stderr)
     if config.fmt == "json":
         payload = {
-            "points": [
-                {"r": study.r, "n": n, "h": float(fmt(h)), "error": float(fmt(study.errors[i, j]))}
-                for i, n in enumerate(study.n_list)
-                for j, h in enumerate(study.h_list)
-            ],
-            "summary": [
-                {
-                    "r": study.r,
-                    "n": n,
-                    "fitted_order": None if math.isnan(study.orders[i]) else float(fmt(study.orders[i])),
-                    "points_used": study.points_used[i],
-                }
-                for i, n in enumerate(study.n_list)
-            ],
+            "points": records(POINTS_CSV_HEADER, point_rows(study)),
+            "summary": records(SUMMARY_CSV_HEADER, summary_rows(study)),
         }
-        _write(config.out, json.dumps(payload, indent=2) + "\n")
+        _write(config.out, json_text(payload))
         return
     if config.out is None:
         sys.stdout.write(points_csv(study))
@@ -326,22 +288,15 @@ def _run_convergence(config: RunConfig) -> None:
 
 
 def _top_pairs(config: RunConfig) -> tuple:
-    system = assemble(Kernel(config.r, config.interval), build_grid(config.interval, config.m),
-                      threads=config.threads)
-    count = max(config.k_values)
-    return system.grid, top_eigenpairs(system, count, config.tol_res)
+    system = assemble(Kernel(config.r, config.interval), build_grid(config.interval, config.m))
+    return system.grid, top_eigenpairs(system, max(config.k_values))
 
 
 def _run_knots(config: RunConfig) -> None:
     grid, pairs = _top_pairs(config)
     reports = [extract_knots(pairs[k - 1], grid, config.tol, r=config.r) for k in config.k_values]
     if config.fmt == "json":
-        payload = [
-            {"r": rep.r, "k": rep.eigen_rank, "index": i, "zero": float(fmt(z))}
-            for rep in reports
-            for i, z in enumerate(rep.zeros, start=1)
-        ]
-        _write(config.out, json.dumps(payload, indent=2) + "\n")
+        _write(config.out, write_rows(KNOTS_CSV_HEADER, knot_rows(reports), "json"))
     else:
         _write(config.out, knots_csv(reports))
 
@@ -353,12 +308,12 @@ def _run_eigenfunctions(config: RunConfig) -> None:
         payload = [
             {
                 "k": pair.index,
-                "x": [float(fmt(x)) for x in grid.nodes],
-                "phi": [float(fmt(v)) for v in (0.0, *pair.vector, 0.0)],
+                "x": grid.nodes.tolist(),
+                "phi": [0.0, *pair.vector.tolist(), 0.0],
             }
             for pair in selected
         ]
-        _write(config.out, json.dumps(payload, indent=2) + "\n")
+        _write(config.out, json_text(payload))
         return
     if config.out is None:
         for pair in selected:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import fmt
+from ._io import write_rows
 from .errors import NumericalError, ValidationError
 from .eigensolver import top_eigenvalues
 from .kernel import Interval, Kernel
@@ -85,8 +85,6 @@ def run_study(
     h_list: Sequence[float],
     h_ref: float | None = None,
     interval: Interval | None = None,
-    tol_res: float = 1e-10,
-    threads: int | None = None,
 ) -> ConvergenceStudy:
     """Errors |d_n(h) - d_n(h_ref)| over h_list and their fitted orders.
 
@@ -114,7 +112,7 @@ def run_study(
 
     def d_values(h: float) -> np.ndarray:
         m = mesh_interior_count(h, interval)
-        system = assemble(kern, build_grid(interval, m), threads=threads)
+        system = assemble(kern, build_grid(interval, m))
         lam = top_eigenvalues(system, count)
         if np.any(lam <= 0):
             raise NumericalError(f"nonpositive eigenvalue at h={h}; rank beyond float64 resolution")
@@ -150,16 +148,21 @@ def run_study(
     )
 
 
+def point_rows(study: ConvergenceStudy) -> list[tuple]:
+    return [
+        (study.r, n, h, study.errors[i, j])
+        for i, n in enumerate(study.n_list)
+        for j, h in enumerate(study.h_list)
+    ]
+
+
+def summary_rows(study: ConvergenceStudy) -> list[tuple]:
+    return [(study.r, n, study.orders[i], study.points_used[i]) for i, n in enumerate(study.n_list)]
+
+
 def points_csv(study: ConvergenceStudy) -> str:
-    lines = [POINTS_CSV_HEADER]
-    for i, n in enumerate(study.n_list):
-        for j, h in enumerate(study.h_list):
-            lines.append(f"{study.r},{n},{fmt(h)},{fmt(study.errors[i, j])}")
-    return "\n".join(lines) + "\n"
+    return write_rows(POINTS_CSV_HEADER, point_rows(study), "csv")
 
 
 def summary_csv(study: ConvergenceStudy) -> str:
-    lines = [SUMMARY_CSV_HEADER]
-    for i, n in enumerate(study.n_list):
-        lines.append(f"{study.r},{n},{fmt(study.orders[i])},{study.points_used[i]}")
-    return "\n".join(lines) + "\n"
+    return write_rows(SUMMARY_CSV_HEADER, summary_rows(study), "csv")

@@ -3,7 +3,7 @@
 The production path is LAPACK's dense symmetric solver (tridiagonalization
 plus implicit-shift iteration) through scipy.  The enforced contract is:
 strictly descending positive simple eigenvalues, per-pair residuals below
-tol_res times the Frobenius norm, pairwise near-orthogonality, max-norm
+RESIDUAL_TOL times the Frobenius norm, pairwise near-orthogonality, max-norm
 normalized vectors with a positive leading entry.  A solve that exhausts
 the solver's internal iteration budget raises instead of returning
 silently.
@@ -118,14 +118,12 @@ def top_eigenvalues(system: NystromSystem, count: int) -> np.ndarray:
     return w
 
 
-def top_eigenpairs(system: NystromSystem, count: int, tol_res: float = RESIDUAL_TOL) -> list[Eigenpair]:
+def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:
     """The `count` largest eigenpairs, sorted by strictly descending eigenvalue."""
     A = system.matrix
     m = A.shape[0]
     if not 1 <= count <= m:
         raise ValidationError(f"count must be in [1, {m}], got {count}")
-    if tol_res <= 0:
-        raise ValidationError("tol_res must be positive")
     # one pair beyond the request gives the last pair's lower gap
     w, v = _solve_subset(A, min(count + 1, m), vectors=True)
 
@@ -147,7 +145,7 @@ def top_eigenpairs(system: NystromSystem, count: int, tol_res: float = RESIDUAL_
         if V[np.flatnonzero(V[:, k])[0], k] < 0:
             V[:, k] = -V[:, k]
     residuals = np.linalg.norm(A @ V - V * w[:count], axis=0)
-    limit = tol_res * np.linalg.norm(A, "fro")
+    limit = RESIDUAL_TOL * np.linalg.norm(A, "fro")
     worst = residuals.max()
     if worst > limit:
         raise NumericalError(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")

@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import brentq
 
-from ._io import atomic_write_text, fmt
+from ._io import write_rows
 from .errors import NumericalError, ValidationError
 from .eigensolver import Eigenpair, eigenfunction_values
 from .nystrom import Grid
@@ -184,22 +184,18 @@ def extract_knots(pair: Eigenpair, grid: Grid, tol: float | None = None, *, r: i
                       error_estimate=error)
 
 
+def knot_rows(reports: Iterable[KnotReport]) -> list[tuple]:
+    return [
+        (report.r, report.eigen_rank, idx, zero)
+        for report in reports
+        for idx, zero in enumerate(report.zeros, start=1)
+    ]
+
+
 def knots_csv(reports: Iterable[KnotReport]) -> str:
-    lines = [KNOTS_CSV_HEADER]
-    for report in reports:
-        for idx, zero in enumerate(report.zeros, start=1):
-            lines.append(f"{report.r},{report.eigen_rank},{idx},{fmt(zero)}")
-    return "\n".join(lines) + "\n"
+    return write_rows(KNOTS_CSV_HEADER, knot_rows(reports), "csv")
 
 
 def curve_csv(pair: Eigenpair, grid: Grid) -> str:
     """Node samples of the eigenfunction as two-column CSV x,phi."""
-    vals = eigenfunction_values(pair, grid)
-    lines = ["x,phi"]
-    lines += [f"{fmt(x)},{fmt(v)}" for x, v in zip(grid.nodes, vals)]
-    return "\n".join(lines) + "\n"
-
-
-def eigenfunction_dump(pair: Eigenpair, grid: Grid, path) -> None:
-    """Write the eigenfunction samples to path (temp file plus rename)."""
-    atomic_write_text(path, curve_csv(pair, grid))
+    return write_rows("x,phi", zip(grid.nodes, eigenfunction_values(pair, grid)), "csv")

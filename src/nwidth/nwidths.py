@@ -9,12 +9,12 @@ integral-operator eigenvalue.  Its inverse r-th root is bracketed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._io import fmt
+from ._io import records, write_rows
 from .errors import ValidationError
 from .eigensolver import TIE_REL_TOL, top_eigenvalues
 from .kernel import Interval, Kernel
@@ -24,7 +24,10 @@ _EPS = float(np.finfo(np.float64).eps)
 #: Eigenvalues below this multiple of the largest one carry no trustworthy digits.
 PRECISION_FLOOR = 1e3 * _EPS
 
+#: Columns in the order of the fields of NWidthResult.
 CSV_HEADER = "r,n,m,d_n,dn_inv_r,lower,upper,conjecture,rel_err,flag"
+#: The conjecture table's ranks n = r + offset for each r.
+TABLE_OFFSETS = range(6)
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,7 @@ def rows_from_eigenvalues(
     return rows
 
 
-def nwidth_rows(
-    r: int,
-    n_values: Sequence[int],
-    m: int,
-    interval: Interval,
-    tol_res: float = 1e-10,
-    threads: int | None = None,
-) -> list[NWidthResult]:
+def nwidth_rows(r: int, n_values: Sequence[int], m: int, interval: Interval) -> list[NWidthResult]:
     """One assembly and one top-k eigensolve covering all requested n."""
     n_values = [int(n) for n in n_values]
     if not n_values:
@@ -116,56 +112,30 @@ def nwidth_rows(
     if min(n_values) < r:
         raise ValidationError(f"every n must satisfy n >= r={r}, got {min(n_values)}")
     count = max(n_values) + 1 - r
-    system = assemble(Kernel(r, interval), build_grid(interval, m), threads=threads)
+    system = assemble(Kernel(r, interval), build_grid(interval, m))
     lambdas = top_eigenvalues(system, count)
     return rows_from_eigenvalues(r, n_values, m, interval, lambdas)
 
 
-def conjecture_table(
-    r_max: int = 20,
-    offsets: Iterable[int] = range(6),
-    m: int = 2047,
-    interval: Interval | None = None,
-    tol_res: float = 1e-10,
-    threads: int | None = None,
-) -> list[NWidthResult]:
-    """Relative differences to the conjectured value for r=1..r_max, n=r+offsets."""
-    offsets = sorted(set(int(o) for o in offsets))
-    if not offsets or offsets[0] < 0:
-        raise ValidationError("offsets must be a nonempty set of nonnegative integers")
+def conjecture_table(r_max: int = 20, m: int = 2047, interval: Interval | None = None) -> list[NWidthResult]:
+    """Relative differences to the conjectured value for r=1..r_max, n=r+TABLE_OFFSETS."""
     if r_max < 1:
         raise ValidationError("r_max must be >= 1")
     if interval is None:
         interval = Interval(0.0, 1.0)
     rows = []
     for r in range(1, r_max + 1):
-        rows.extend(nwidth_rows(r, [r + o for o in offsets], m, interval, tol_res, threads))
+        rows.extend(nwidth_rows(r, [r + o for o in TABLE_OFFSETS], m, interval))
     return rows
 
 
+def _cells(rows: Iterable[NWidthResult]) -> list[tuple]:
+    return [astuple(row) for row in rows]
+
+
 def results_records(rows: Iterable[NWidthResult]) -> list[dict]:
-    return [
-        {
-            "r": row.r,
-            "n": row.n,
-            "m": row.m,
-            "d_n": float(fmt(row.d_n)),
-            "dn_inv_r": float(fmt(row.dn_inv_r)),
-            "lower": float(fmt(row.lower)),
-            "upper": float(fmt(row.upper)),
-            "conjecture": float(fmt(row.conjecture)),
-            "rel_err": float(fmt(row.rel_err)),
-            "flag": row.flag,
-        }
-        for row in rows
-    ]
+    return records(CSV_HEADER, _cells(rows))
 
 
 def results_csv(rows: Iterable[NWidthResult]) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.r},{row.n},{row.m},{fmt(row.d_n)},{fmt(row.dn_inv_r)},"
-            f"{fmt(row.lower)},{fmt(row.upper)},{fmt(row.conjecture)},{fmt(row.rel_err)},{row.flag}"
-        )
-    return "\n".join(lines) + "\n"
+    return write_rows(CSV_HEADER, _cells(rows), "csv")

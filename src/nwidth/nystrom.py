@@ -6,12 +6,10 @@ eigenvalues approximate the integral-operator eigenvalues directly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import fmt
 from .errors import ValidationError
 from .kernel import Kernel, Interval, kernel_column
 
@@ -45,38 +43,28 @@ class NystromSystem:
     matrix: np.ndarray  # m x m, symmetric, entries h * g(xi_k, xi_l) > 0
 
 
-def assemble(kernel: Kernel, grid: Grid, threads: int | None = None) -> NystromSystem:
+def assemble(kernel: Kernel, grid: Grid) -> NystromSystem:
     """Assemble h * g(xi_k, xi_l); only the upper triangle is evaluated.
 
-    Columns are independent, so they may be filled by `threads` workers;
-    each entry is produced by the same single vectorized column
-    evaluation either way, keeping the result bit-identical.
+    Each column is one vectorized kernel evaluation; the lower triangle
+    is the transpose of the upper one, so the matrix is exactly symmetric.
     """
     iv = kernel.interval
     if grid.nodes[0] != iv.a or grid.nodes[-1] != iv.b:
         raise ValidationError("grid interval does not match kernel interval")
     m, h, nodes = grid.m, grid.h, grid.nodes
     A = np.zeros((m, m))
-
-    def fill(columns) -> None:
-        for col in columns:
-            y = nodes[col + 1]
-            A[: col + 1, col] = h * kernel_column(kernel, y, nodes[1 : col + 2])
-
-    if threads is None or threads <= 1 or m < 64:
-        fill(range(m))
-    else:
-        chunk = -(-m // threads)
-        ranges = [range(lo, min(lo + chunk, m)) for lo in range(0, m, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for _ in pool.map(fill, ranges):
-                pass
+    for col in range(m):
+        A[: col + 1, col] = h * kernel_column(kernel, nodes[col + 1], nodes[1 : col + 2])
     A += np.triu(A, 1).T
     A.setflags(write=False)
     return NystromSystem(kernel=kernel, grid=grid, matrix=A)
 
 
 def matrix_text(system: NystromSystem) -> str:
-    """Debug dump: whitespace-separated float64 text, one row per line."""
-    rows = (" ".join(fmt(v) for v in row) for row in system.matrix)
-    return "\n".join(rows) + "\n"
+    """Debug dump: whitespace-separated float64 text, one row per line.
+
+    Every entry is rendered as `fmt` renders it, one template per row.
+    """
+    template = " ".join(["%.17g"] * system.grid.m)
+    return "".join(template % tuple(row) + "\n" for row in system.matrix.tolist())

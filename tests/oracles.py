@@ -1,17 +1,19 @@
 """Independent reference computations used only by the tests.
 
 Everything here is deliberately written apart from the package code
-paths: a Jacobi-rotation eigensolver, closed-form kernels, a
-piecewise-polynomial construction of the Green's function, the exact
-eigenvalues of the r=1 collocation matrix, continuum eigenfrequency
-references for r in {2, 3, 4}, and two mpmath references: a continuum
-eigenfrequency solver for any r and extended-precision Ritz values of
-the collocation matrix.  mpmath is imported only by the functions that
-use it.
+paths: a Jacobi-rotation eigensolver, a Cox-de Boor evaluator of a
+single B-spline, closed-form kernels, a piecewise-polynomial
+construction of the Green's function, the exact eigenvalues of the r=1
+collocation matrix, continuum eigenfrequency references for r in
+{2, 3, 4}, and two mpmath references: a continuum eigenfrequency solver
+for any r and extended-precision Ritz values of the collocation matrix.
+mpmath is imported only by the functions that use it.
 """
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -32,9 +34,12 @@ def jacobi_eigh(A, max_sweeps=30, tol=1e-15):
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = A[p, q]
-                if apq == 0.0:
+                diff = A[q, q] - A[p, p]
+                # a rotation by t ~ apq / diff below rounding is the identity,
+                # and theta = diff / (2 apq) could overflow
+                if abs(diff) + 100.0 * abs(apq) == abs(diff):
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                theta = diff / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
@@ -49,6 +54,92 @@ def jacobi_eigh(A, max_sweeps=30, tol=1e-15):
                 V[:, q] = s * vp + c * vq
     order = np.argsort(np.diag(A))[::-1]
     return np.diag(A)[order], V[:, order]
+
+
+# A single B-spline from an explicit knot sequence t_0 <= ... <= t_{p+1}
+# (degree p = #knots - 2), by the Cox-de Boor recurrence in de Boor's
+# triangular form.  The knot sequence is embedded in a padded local basis,
+# p+1 copies of an artificial knot strictly below the first knot and
+# strictly above the last one, which makes the target spline one
+# identifiable member of that basis; only its coefficient is set to 1.
+
+
+@dataclass(frozen=True)
+class KnotVector:
+    """Nondecreasing knot sequence with an associated polynomial degree.
+
+    With the default degree len(knots) - 2 the vector defines a single
+    B-spline; a longer vector with an explicit degree describes a local
+    basis whose members are the length p+2 windows of the sequence.
+    """
+
+    knots: tuple[float, ...]
+    degree: int | None = None
+
+    def __post_init__(self):
+        knots = tuple(float(t) for t in self.knots)
+        if len(knots) < 2:
+            raise ValueError("a knot vector needs at least 2 knots")
+        if any(right < left for left, right in zip(knots, knots[1:])):
+            raise ValueError("knots must be nondecreasing")
+        if knots[-1] == knots[0]:
+            raise ValueError("all knots equal: the B-spline support is empty")
+        degree = self.degree
+        if degree is None:
+            degree = len(knots) - 2
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        if len(knots) < degree + 2:
+            raise ValueError(
+                f"degree {degree} needs at least {degree + 2} knots, got {len(knots)}"
+            )
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "degree", degree)
+
+
+def _padded(knots: tuple[float, ...], p: int) -> tuple[float, ...]:
+    offset = max(1.0, knots[-1] - knots[0])
+    return ((knots[0] - offset,) * (p + 1)) + knots + ((knots[-1] + offset,) * (p + 1))
+
+
+def _deboor(T, p: int, span: int, x: float) -> float:
+    # unit coefficient on basis member p+1, i.e. the unpadded spline
+    d = [1.0 if span - p + j == p + 1 else 0.0 for j in range(p + 1)]
+    for lev in range(1, p + 1):
+        for j in range(p, lev - 1, -1):
+            tl = T[j + span - p]
+            tr = T[j + span + 1 - lev]
+            alpha = (x - tl) / (tr - tl)
+            d[j] = (1.0 - alpha) * d[j - 1] + alpha * d[j]
+    return d[p]
+
+
+def bspline_eval(kv: KnotVector, x: float) -> float:
+    """Value at x of the single B-spline whose knot sequence is kv.knots.
+
+    The spline is right-continuous at interior knots and supported on
+    [first knot, last knot]; outside the support the value is 0.  At x
+    equal to the last knot the left-limit value is returned, so a spline
+    ending in a full-multiplicity knot keeps its limit there while all
+    others vanish.
+    """
+    t = kv.knots
+    p = kv.degree
+    if len(t) != p + 2:
+        raise ValueError(
+            f"single B-spline evaluation needs len(knots) == degree + 2, "
+            f"got {len(t)} knots for degree {p}"
+        )
+    x = float(x)
+    if x < t[0] or x > t[-1]:
+        return 0.0
+    T = _padded(t, p)
+    if x == t[-1]:
+        # evaluate the polynomial piece left of the last knot
+        span = bisect_left(T, x) - 1
+    else:
+        span = bisect_right(T, x) - 1
+    return _deboor(T, p, span, x)
 
 
 def kernel_r1(a, b, x, y):

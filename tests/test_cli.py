@@ -62,15 +62,6 @@ def test_rejects_bad_inputs():
         assert err.value.code == 1
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("NWIDTH_THREADS", "3")
-    assert parse(["compute", "--r", "1", "--n", "1"]).threads == 3
-    monkeypatch.setenv("NWIDTH_THREADS", "many")
-    with pytest.raises(SystemExit) as err:
-        parse(["compute", "--r", "1", "--n", "1"])
-    assert err.value.code == 1
-
-
 def test_h_list_parsing():
     config = parse(["convergence", "--r", "1", "--n", "1", "--h-list", "2^-3,0.0625", "--h-ref", "analytic"])
     assert config.h_list == (0.125, 0.0625)
@@ -97,25 +88,58 @@ def test_compute_stdout(capsys):
 
 
 def test_identical_runs_are_bit_identical(tmp_path):
-    args = ["compute", "--r", "2", "--n", "2..4", "--m", "63", "--threads", "2"]
+    args = ["compute", "--r", "2", "--n", "2..4", "--m", "63"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_json_and_csv_agree(tmp_path):
-    base = ["compute", "--r", "2", "--n", "2..3", "--m", "31"]
-    csv_path = tmp_path / "rows.csv"
-    json_path = tmp_path / "rows.json"
-    assert main(base + ["--out", str(csv_path)]) == 0
-    assert main(base + ["--format", "json", "--out", str(json_path)]) == 0
+def _assert_rows_agree(csv_path, json_rows, count):
     csv_rows = list(csv.DictReader(csv_path.open()))
-    json_rows = json.loads(json_path.read_text())
-    assert len(csv_rows) == len(json_rows) == 2
+    assert len(csv_rows) == len(json_rows) == count
     for c, j in zip(csv_rows, json_rows):
-        for key in ("d_n", "dn_inv_r", "lower", "upper", "conjecture", "rel_err"):
-            assert float(c[key]) == j[key]
+        assert list(c) == list(j)
+        for key, text in c.items():
+            if isinstance(j[key], str):
+                assert text == j[key]
+            elif j[key] is None:
+                assert math.isnan(float(text))
+            else:
+                assert float(text) == j[key]
+
+
+def test_json_and_csv_agree(tmp_path):
+    products = {
+        "rows": (["compute", "--r", "2", "--n", "2..3", "--m", "31"], 2),
+        "knots": (["knots", "--r", "2", "--k", "1..3", "--m", "63"], 3),
+        "conv": (["convergence", "--r", "2", "--n", "2..3",
+                  "--h-list", "2^-3,2^-4,2^-5", "--h-ref", "2^-7"], 6),
+    }
+    views = {}
+    for stem, (argv, count) in products.items():
+        csv_path, json_path = tmp_path / f"{stem}.csv", tmp_path / f"{stem}.json"
+        assert main(argv + ["--out", str(csv_path)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(json_path)]) == 0
+        views[stem] = csv_path, json.loads(json_path.read_text()), count
+    for stem in ("rows", "knots"):
+        _assert_rows_agree(*views[stem])
+    csv_path, payload, count = views["conv"]
+    _assert_rows_agree(csv_path, payload["points"], count)
+    _assert_rows_agree(tmp_path / "conv_summary.csv", payload["summary"], 2)
+
+
+def test_json_nonfinite_values_are_null(capsys):
+    # on a span of 1e-60 every eigenvalue underflows: the rows are nonpositive, d_n is NaN
+    argv = ["compute", "--r", "3", "--n", "3..4", "--m", "63", "--interval", "0,1e-60", "--format", "json"]
+    assert main(argv) == 0
+
+    def refuse(token):
+        raise ValueError(f"invalid JSON token {token}")
+
+    rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert [row["d_n"] for row in rows] == [None, None]
+    assert [row["flag"] for row in rows] == ["nonpositive", "nonpositive"]
 
 
 def test_dump_matrix(tmp_path):

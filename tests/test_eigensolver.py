@@ -73,7 +73,7 @@ def test_count_out_of_range_rejected():
 
 def test_pair_contract_residual_orthogonality_normalization():
     system = system_for(2, 100)
-    pairs = top_eigenpairs(system, 8, tol_res=1e-10)
+    pairs = top_eigenpairs(system, 8)
     A = system.matrix
     fro = np.linalg.norm(A, "fro")
     values = np.array([p.value for p in pairs])

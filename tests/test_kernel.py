@@ -4,11 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nwidth import Interval, Kernel, ValidationError, bspline_eval, factorial_scale, kernel_eval
-from nwidth.bspline import KnotVector
+from nwidth import Interval, Kernel, ValidationError, factorial_scale, kernel_eval
 from nwidth.kernel import kernel_column
 
-from oracles import greens_bvp, kernel_r1, kernel_r2
+from oracles import KnotVector, bspline_eval, greens_bvp, kernel_r1, kernel_r2
 
 UNIT = Interval(0.0, 1.0)
 

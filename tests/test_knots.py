@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -11,10 +12,10 @@ from nwidth import (
     ValidationError,
     assemble,
     build_grid,
-    eigenfunction_dump,
     extract_knots,
     top_eigenpairs,
 )
+from nwidth.knots import curve_csv
 
 UNIT = Interval(0.0, 1.0)
 
@@ -172,20 +173,16 @@ def test_tolerance_must_be_positive():
         extract_knots(pairs[0], grid, tol=0.0, r=1)
 
 
-def test_eigenfunction_dump_single_node(tmp_path):
+def test_curve_csv_single_node():
     grid, pairs = pairs_for(1, 1, 1)
-    path = tmp_path / "curve.csv"
-    eigenfunction_dump(pairs[0], grid, path)
-    lines = path.read_text().strip().split("\n")
+    lines = curve_csv(pairs[0], grid).strip().split("\n")
     assert lines[0] == "x,phi"
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     np.testing.assert_allclose(data, [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]])
 
 
-def test_eigenfunction_dump_r1_is_sine(tmp_path):
+def test_curve_csv_r1_is_sine():
     grid, pairs = pairs_for(1, 255, 1)
-    path = tmp_path / "curve.csv"
-    eigenfunction_dump(pairs[0], grid, path)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    rows = np.loadtxt(io.StringIO(curve_csv(pairs[0], grid)), delimiter=",", skiprows=1)
     assert rows.shape == (257, 2)
     np.testing.assert_allclose(rows[:, 1], np.sin(math.pi * rows[:, 0]), atol=1e-4)
