@@ -10,7 +10,7 @@ optimal spline knots as eigenfunction zeros.
 from .convergence import ConvergenceStudy, run_study
 from .eigensolver import Eigenpair, eigenfunction_values, top_eigenpairs, top_eigenvalues
 from .errors import NumericalError, NWidthError, ValidationError
-from .kernel import Interval, Kernel, factorial_scale, kernel_eval
+from .kernel import Interval, Kernel, kernel_eval
 from .knots import KnotReport, extract_knots
 from .nwidths import (
     NWidthResult,
@@ -43,7 +43,6 @@ __all__ = [
     "dn_from_eigenvalue",
     "eigenfunction_values",
     "extract_knots",
-    "factorial_scale",
     "kernel_eval",
     "nwidth_rows",
     "proven_bounds",

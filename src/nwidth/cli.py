@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from .nwidths import conjecture_table, nwidth_rows, results_csv, results_records
 from .nystrom import assemble, build_grid, matrix_text
 
 DEFAULT_M = 2047  # h = (b-a)/2048
+#: Default convergence mesh sizes and reference mesh size, as fractions of b-a.
 DEFAULT_H_LIST = tuple(2.0**-j for j in range(3, 10))
 DEFAULT_H_REF = 2.0**-11
 
@@ -130,7 +132,9 @@ def _parse_h_list(text: str) -> tuple[float, ...]:
     return tuple(_parse_h(item) for item in text.split(",") if item.strip())
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="nwidth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -156,9 +160,9 @@ def _build_parser() -> _Parser:
     common(p, with_m=False)
     p.add_argument("--n", default=None, help="n value or range (default r..r+5)")
     p.add_argument("--h-list", default=None, dest="h_list",
-                   help="comma list of mesh sizes, e.g. '2^-3,2^-4' (default 2^-3..2^-9)")
+                   help="comma list of mesh sizes, e.g. '2^-3,2^-4' (default (b-a)*2^-3..(b-a)*2^-9)")
     p.add_argument("--h-ref", default=None, dest="h_ref",
-                   help="reference mesh size (default 2^-11), or 'analytic' for r=1")
+                   help="reference mesh size (default (b-a)*2^-11), or 'analytic' for r=1")
 
     p = sub.add_parser("knots", help="zeros of eigenfunctions (optimal spline knots)")
     common(p)
@@ -219,11 +223,16 @@ def _config_from_namespace(ns) -> RunConfig:
         config.r_max = ns.r_max
 
     if ns.command == "convergence":
-        if ns.h_list is not None:
+        span = config.interval.span
+        if ns.h_list is None:
+            config.h_list = tuple(span * h for h in DEFAULT_H_LIST)
+        else:
             config.h_list = _parse_h_list(ns.h_list)
             if not config.h_list:
                 raise ValidationError("--h-list is empty")
-        if ns.h_ref is not None:
+        if ns.h_ref is None:
+            config.h_ref = span * DEFAULT_H_REF
+        else:
             config.h_ref = None if ns.h_ref.strip() == "analytic" else _parse_h(ns.h_ref)
 
     if ns.command == "compute":

@@ -35,11 +35,16 @@ TIE_REL_TOL = 1e-13
 #: Eigenvalues of a float64 solve are trusted to GAP_MARGIN * eps * lambda_1.
 GAP_MARGIN = 16.0
 #: Relative rounding of the assembled entries, per unit of
-#: (r + 3) * eps * (1 + max(|a|, |b|) / (b - a)).  A model, not a proof:
-#: against the double-double matrix of `nwidth.extended` (r = 1..20,
-#: m = 240..2047, six intervals up to 5.7 spans from 0) the residuals of
-#: the low ranks called for at most 0.076 units, and every float64 sample
-#: lay within half its bound of the refined one.
+#: (r + 3) * eps * (1 + max(|a|, |b|) / (b - a)).  A model, not a proof,
+#: calibrated against the double-double matrix of `nwidth.extended`: over
+#: r = 1..20, m = 240..2047 and six intervals up to 5.7 spans from 0, every
+#: float64 sample of ranks 1..8 lay within 0.47 of its bound of the refined
+#: one.  The assembly rounds no nodes, so the interval enters the matrix
+#: only as the scale (b-a)^(2r), and the factor in max(|a|, |b|) no longer
+#: models a mechanism; it stays because the samples still differ between
+#: intervals (the eigensolver rounds differently on each scaled copy), and
+#: without it one sample reached 0.57 of its bound (r = 12, m = 2047,
+#: [-2, -1.65], rank 3).
 ASSEMBLY_ROUNDING = 0.125
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -59,10 +64,9 @@ class Eigenpair:
 def assembly_rounding(kernel: Kernel) -> float:
     """Relative rounding level of the assembled matrix entries.
 
-    The nodes a + h*i are rounded to float64 with an absolute error of
-    about eps * max(|a|, |b|), which the kernel's r-fold powers of node
-    differences turn into a relative error of its rows and columns; the
-    de Boor recurrence and the mesh size add a few units of r * eps.
+    The entries lie within (r + 3) * eps of the matrix with exact nodes on
+    every interval; the calibrated factor in max(|a|, |b|) / (b - a) keeps
+    the sample bound above the errors measured for it (ASSEMBLY_ROUNDING).
     """
     iv = kernel.interval
     return ASSEMBLY_ROUNDING * (kernel.r + 3) * _EPS * (1.0 + max(abs(iv.a), abs(iv.b)) / iv.span)

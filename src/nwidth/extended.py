@@ -121,8 +121,8 @@ def _dot(xh, xl, yh, yl):
 def _bspline_dd(r: int, i: np.ndarray, j: np.ndarray, n: int):
     """B[0,..,0,t_j,1,..,1](t_i) on nodes t = k/n, for i <= j, in double-double.
 
-    The same triangle as `kernel._bspline_factor`, with every ratio of
-    node differences written as a ratio of integers.
+    De Boor's triangle for the B-spline form of the kernel, with every
+    ratio of node differences written as a ratio of integers.
     """
     p = 2 * r - 1
     ay = _ratio(i, j)

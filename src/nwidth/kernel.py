@@ -1,13 +1,23 @@
 """Green's function kernel of the order-2r two-point Dirichlet problem.
 
-For x <= y the kernel is a scaled B-spline in x whose knot sequence
-stacks r copies of each interval endpoint around the interior knot y,
+On [0, 1], for 0 <= x <= y <= 1, the kernel has the closed form
 
-    g(x, y) = (y-a)^r (b-y)^r / ((2r-1)! (b-a)) * B[a,..,a,y,b,..,b](x),
+    g(x, y) = sum_{i=0}^{r-1} c_i x^(r+i) (1-x)^(r-1-i) y^(r-1-i) (1-y)^(r+i),
+    c_i = (-1)^i C(2r-1, r-1-i) / (2r-1)!,
 
-and g(x, y) = g(y, x) for x > y.  g vanishes whenever x or y hits an
-endpoint, is symmetric, and is strictly positive inside the open square
-(a,b) x (a,b).
+and on [a, b], with s = b - a, g_ab(x, y) = s^(2r-1) g((x-a)/s, (y-a)/s);
+g(x, y) = g(y, x) for x > y.  In the Bernstein bases of indices r..2r-1
+in x and 0..r-1 in y the coefficient matrix is anti-diagonal with these
+binomial entries.  Each term is a function of x times a function of y,
+so over points x_1..x_m and y_1..y_n with x_k <= y_l the kernel is the
+product X Y^T of an m x r and an n x r factor: the collocation matrix is
+a symmetric semiseparable matrix of rank r (Vandebril, Van Barel and
+Mastronardi, *Matrix Computations and Semiseparable Matrices*, 2008).
+
+g vanishes whenever x or y hits an endpoint, is symmetric, and is
+strictly positive inside the open square (a,b) x (a,b).  It equals the
+de Boor form, a B-spline in x with knots a,..,a,y,b,..,b scaled by
+(y-a)^r (b-y)^r / ((2r-1)! (b-a)), which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-#: Largest derivative order the float64 prefactor is validated for.
+#: Largest derivative order the float64 assembly is validated for.
 MAX_R = 20
 
 
@@ -56,59 +66,39 @@ class Kernel:
         object.__setattr__(self, "r", int(self.r))
 
 
-def factorial_scale(r: int, y: float, interval: Interval, *, allow_any_r: bool = False) -> float:
-    """Scalar prefactor (y-a)^r (b-y)^r / ((2r-1)! (b-a)).
+def _coefficients(r: int) -> np.ndarray:
+    """c_i = (-1)^i C(2r-1, r-1-i) / (2r-1)!, each rounded once."""
+    f = math.factorial(2 * r - 1)
+    return np.array([(-1) ** i * math.comb(2 * r - 1, r - 1 - i) / f for i in range(r)])
 
-    Multiplications and divisions are interleaved so the intermediate
-    products stay far from float64 overflow and underflow for r <= 20.
+
+def kernel_column(k: Kernel, y, xs: np.ndarray) -> np.ndarray:
+    """g(xs_i, y) for a batch of points with xs_i <= y (assembly fast path).
+
+    With an array y the result is the block g(xs_i, y_j), one product of
+    an m x r and an r x n factor; it is the kernel wherever xs_i <= y_j.
+
+    The factors are powers of the distances x-a and b-x to the endpoints,
+    which carry no rounding when the points lie on an integer grid; the
+    distances are scaled by a power of two so that the span lies in
+    [1/2, 1), and the division by s^(2r-1) is folded into the factors, so
+    no power overflows or underflows where the kernel itself fits.
     """
-    if r < 1 or (r > MAX_R and not allow_any_r):
-        raise ValidationError(
-            f"r={r} outside the supported range [1, {MAX_R}] "
-            "(pass allow_any_r=True to override)"
-        )
-    a, b = interval.a, interval.b
-    if y < a or y > b:
-        raise ValidationError(f"y={y} outside [{a}, {b}]")
-    acc = (y - a) * (b - y) / (b - a)
-    for j in range(2, r + 1):
-        acc *= (y - a) / (2 * j - 1)
-        acc *= (b - y) / (2 * j - 2)
-    return acc
-
-
-def _bspline_factor(r: int, a: float, b: float, y: float, xs: np.ndarray) -> np.ndarray:
-    """B[a,..,a,y,b,..,b](xs) with r copies of a and b, for points xs <= y.
-
-    Every point lies in the knot span ending at y, so de Boor's triangle
-    runs with scalar knots; the left knot of every division is a and the
-    right knot is y exactly when the inner index equals the level.  At
-    x == y the span polynomial yields the left-limit value, which equals
-    the spline value because the spline is C^{2r-2} at its interior knot.
-    """
-    p = 2 * r - 1
-    xs = np.asarray(xs, dtype=float)
-    ay = (xs - a) / (y - a)
-    by = (y - xs) / (y - a)
-    ab = (xs - a) / (b - a)
-    bb = (b - xs) / (b - a)
-    d = np.zeros((p + 1,) + xs.shape)
-    d[r] = 1.0
-    for lev in range(1, p + 1):
-        for j in range(min(p, r + lev), max(lev, r) - 1, -1):
-            if j == lev:
-                al, be = ay, by
-            else:
-                al, be = ab, bb
-            d[j] = be * d[j - 1] + al * d[j]
-    return d[p]
-
-
-def kernel_column(k: Kernel, y: float, xs: np.ndarray) -> np.ndarray:
-    """g(xs_i, y) for a batch of points with xs_i <= y < b (assembly fast path)."""
+    r = k.r
     a, b = k.interval.a, k.interval.b
-    scale = factorial_scale(k.r, y, k.interval)
-    return scale * _bspline_factor(k.r, a, b, y, xs)
+    frac, e = math.frexp(b - a)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(y, dtype=float)
+    up = np.arange(r, 2 * r)
+    down = up[::-1] - r
+    X = np.ldexp(xs - a, -e)[:, None] ** up * np.ldexp(b - xs, -e)[:, None] ** down
+    Y = np.ldexp(ys - a, -e)[..., None] ** down * np.ldexp(b - ys, -e)[..., None] ** up
+    X *= np.ldexp(frac**-r, e * r)
+    Y *= _coefficients(r) * np.ldexp(frac ** (1 - r), e * (r - 1))
+    # numpy's own product loop, not BLAS: a threaded BLAS product leaves its
+    # worker threads spinning, which on two cores made the eigensolve that
+    # follows every assembly about twice as slow
+    return np.einsum("ik,...k->i...", X, Y)
 
 
 def kernel_eval(k: Kernel, x: float, y: float) -> float:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written apart from the package code
 paths: a Jacobi-rotation eigensolver, a Cox-de Boor evaluator of a
-single B-spline, closed-form kernels, a piecewise-polynomial
+single B-spline, the de Boor form of the kernel and its collocation
+matrix, closed-form kernels, a piecewise-polynomial
 construction of the Green's function, the exact eigenvalues of the r=1
 collocation matrix, continuum eigenfrequency references for r in
 {2, 3, 4}, and two mpmath references: a continuum eigenfrequency solver
@@ -140,6 +141,81 @@ def bspline_eval(kv: KnotVector, x: float) -> float:
     else:
         span = bisect_right(T, x) - 1
     return _deboor(T, p, span, x)
+
+
+# The de Boor form of the kernel: for x <= y,
+#     g(x, y) = (y-a)^r (b-y)^r / ((2r-1)! (b-a)) * B[a,..,a,y,b,..,b](x),
+# a scaled B-spline in x with r copies of each endpoint around the
+# interior knot y.  It is the package's former assembly path, kept as the
+# reference that the closed-form assembly is gated against.
+
+MAX_R = 20
+
+
+def factorial_scale(r, y, interval, *, allow_any_r=False):
+    """Scalar prefactor (y-a)^r (b-y)^r / ((2r-1)! (b-a)).
+
+    Multiplications and divisions are interleaved so the intermediate
+    products stay far from float64 overflow and underflow for r <= 20.
+    """
+    if r < 1 or (r > MAX_R and not allow_any_r):
+        raise ValueError(
+            f"r={r} outside the supported range [1, {MAX_R}] "
+            "(pass allow_any_r=True to override)"
+        )
+    a, b = interval.a, interval.b
+    if y < a or y > b:
+        raise ValueError(f"y={y} outside [{a}, {b}]")
+    acc = (y - a) * (b - y) / (b - a)
+    for j in range(2, r + 1):
+        acc *= (y - a) / (2 * j - 1)
+        acc *= (b - y) / (2 * j - 2)
+    return acc
+
+
+def bspline_factor(r, a, b, y, xs):
+    """B[a,..,a,y,b,..,b](xs) with r copies of a and b, for points xs <= y.
+
+    Every point lies in the knot span ending at y, so de Boor's triangle
+    runs with the left knot a in every division and the right knot y
+    exactly when the inner index equals the level.  y may be an array
+    matching xs, one knot per point.
+    """
+    p = 2 * r - 1
+    xs = np.asarray(xs, dtype=float)
+    ay = (xs - a) / (y - a)
+    by = (y - xs) / (y - a)
+    ab = (xs - a) / (b - a)
+    bb = (b - xs) / (b - a)
+    d = np.zeros((p + 1,) + xs.shape)
+    d[r] = 1.0
+    for lev in range(1, p + 1):
+        for j in range(min(p, r + lev), max(lev, r) - 1, -1):
+            if j == lev:
+                al, be = ay, by
+            else:
+                al, be = ab, bb
+            d[j] = be * d[j - 1] + al * d[j]
+    return d[p]
+
+
+def deboor_matrix(r, interval, m):
+    """The collocation matrix h * g(xi_k, xi_l) through the de Boor form.
+
+    Nodes a + h*i as a float64 grid forms them; the upper triangle is
+    evaluated in one vectorised triangle and mirrored.
+    """
+    a, b = interval.a, interval.b
+    h = (b - a) / (m + 1)
+    nodes = a + h * np.arange(m + 2)
+    nodes[-1] = b
+    inner = nodes[1:-1]
+    scale = np.array([factorial_scale(r, y, interval) for y in inner])
+    iu, ju = np.triu_indices(m)
+    A = np.zeros((m, m))
+    A[iu, ju] = h * (scale[ju] * bspline_factor(r, a, b, inner[ju], inner[iu]))
+    A += np.triu(A, 1).T
+    return A
 
 
 def kernel_r1(a, b, x, y):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nwidth.cli import main, parse_args
+from nwidth.cli import DEFAULT_H_LIST, DEFAULT_H_REF, _build_parser, main, parse_args
 
 from oracles import kernel_r1
 
@@ -66,6 +66,43 @@ def test_h_list_parsing():
     config = parse(["convergence", "--r", "1", "--n", "1", "--h-list", "2^-3,0.0625", "--h-ref", "analytic"])
     assert config.h_list == (0.125, 0.0625)
     assert config.h_ref is None
+
+
+def test_parser_is_built_once():
+    first = parse(["compute", "--r", "2", "--n", "2"])
+    second = parse(["knots", "--r", "3", "--k", "1..2"])
+    assert _build_parser() is _build_parser()
+    assert (first.command, first.n_values) == ("compute", (2,))
+    assert (second.command, second.k_values) == ("knots", (1, 2))
+
+
+def test_default_mesh_sizes_are_fractions_of_the_span(capsys):
+    assert parse(["convergence", "--r", "3"]).h_list == DEFAULT_H_LIST
+    config = parse(["convergence", "--r", "3", "--interval=-1.37,0.91"])
+    span = 0.91 - -1.37
+    assert config.h_list == tuple(span * h for h in DEFAULT_H_LIST)
+    assert config.h_ref == span * DEFAULT_H_REF
+    assert main(["convergence", "--r", "3", "--n", "3", "--interval=-1.37,0.91"]) == 0
+    points = capsys.readouterr().out.split("\n\n")[0].splitlines()[1:]
+    assert [float(line.split(",")[2]) for line in points] == list(config.h_list)
+
+
+def test_large_span_prints_finite_rows(capsys):
+    argv = ["compute", "--r", "20", "--n", "20..21", "--m", "127", "--interval", "0,1e8"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2
+    assert all(math.isfinite(float(row["d_n"])) and row["flag"] == "" for row in rows)
+
+
+@pytest.mark.parametrize("interval", ["0,1e15", "0,1e20"])
+def test_span_beyond_float64_range_is_a_numerical_failure(interval, capsys):
+    argv = ["compute", "--r", "20", "--n", "20..21", "--m", "127", "--interval", interval]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+    assert "beyond float64 range" in captured.err
 
 
 def test_compute_writes_csv(tmp_path):

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nwidth import Interval, Kernel, ValidationError, factorial_scale, kernel_eval
+from nwidth import Interval, Kernel, ValidationError, kernel_eval
 from nwidth.kernel import kernel_column
 
-from oracles import KnotVector, bspline_eval, greens_bvp, kernel_r1, kernel_r2
+from oracles import KnotVector, bspline_eval, factorial_scale, greens_bvp, kernel_r1, kernel_r2
 
 UNIT = Interval(0.0, 1.0)
 
@@ -88,7 +88,7 @@ def test_matches_boundary_value_problem_oracle(r):
 
 
 def test_column_path_matches_general_bspline_path():
-    # the fixed-span assembly evaluation must agree with the generic evaluator
+    # the closed form must agree with the de Boor form through the generic evaluator
     rng = np.random.default_rng(23)
     iv = Interval(-1.0, 1.0)
     for r in (1, 2, 3, 6):
@@ -115,12 +115,12 @@ def test_factorial_scale_r20_against_rational_arithmetic():
 
 
 def test_factorial_scale_range_guard():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         factorial_scale(0, 0.5, UNIT)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         factorial_scale(21, 0.5, UNIT)
     assert factorial_scale(21, 0.5, UNIT, allow_any_r=True) > 0.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError):
         factorial_scale(2, 1.5, UNIT)
 
 

@@ -1,15 +1,28 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nwidth import Interval, Kernel, ValidationError, assemble, build_grid, kernel_eval
+from nwidth import (
+    Interval,
+    Kernel,
+    ValidationError,
+    assemble,
+    build_grid,
+    kernel_eval,
+    top_eigenvalues,
+)
 from nwidth._io import fmt
+from nwidth.extended import assemble_dd
 from nwidth.nystrom import matrix_text
 
-from oracles import kernel_r1, kernel_r2
+from oracles import deboor_matrix, kernel_r1, kernel_r2
 
 UNIT = Interval(0.0, 1.0)
+EPS = np.finfo(float).eps
+ALL_R = range(1, 21)
 
 
 def test_grid_unit_interval_m3():
@@ -69,6 +82,37 @@ def test_assemble_agrees_with_kernel_eval_bitwise():
         for j in range(7):
             expected = grid.h * kernel_eval(k, grid.nodes[i + 1], grid.nodes[j + 1])
             assert system.matrix[i, j] == expected
+
+
+@pytest.mark.parametrize("m", [255, 100])
+def test_entries_match_double_double_for_every_r(m):
+    # the nodes are exact integers on [0, m+1], dyadic m+1 or not
+    for r in ALL_R:
+        A = assemble(Kernel(r, UNIT), build_grid(UNIT, m)).matrix
+        hi, lo = assemble_dd(r, m)
+        worst = (np.abs((A - hi) - lo) / hi).max()
+        assert worst <= (r + 3) * EPS, f"r={r}: {worst / EPS:.1f} eps"
+
+
+@pytest.mark.parametrize("interval", [UNIT, Interval(-1.37, 0.91)], ids=["unit", "non-dyadic"])
+def test_top_eigenvalues_match_deboor_oracle_for_every_r(interval):
+    m = 255
+    for r in ALL_R:
+        fast = top_eigenvalues(assemble(Kernel(r, interval), build_grid(interval, m)), 6)
+        slow = scipy.linalg.eigh(deboor_matrix(r, interval, m), eigvals_only=True,
+                                 subset_by_index=(m - 6, m - 1))[::-1]
+        assert np.abs(fast - slow).max() <= 64 * EPS * slow[0], f"r={r}"
+
+
+def test_entries_scale_with_the_span_to_a_few_ulps():
+    # h * g_ab(xi_k, xi_l) = (b-a)^(2r) * (the same entry on [0, 1]), wherever [a, b] lies
+    m = 100
+    for interval in (Interval(-1.37, 0.91), Interval(2.0, 2.5), Interval(-3e3, 1e3), Interval(1e-3, 3e-3)):
+        for r in ALL_R:
+            A = assemble(Kernel(r, interval), build_grid(interval, m)).matrix
+            unit = assemble(Kernel(r, UNIT), build_grid(UNIT, m)).matrix
+            scale = float(Fraction(interval.span) ** (2 * r))
+            assert (np.abs(A - scale * unit) / A).max() <= 4 * EPS, f"{interval}, r={r}"
 
 
 def test_matrix_symmetric_bitwise_and_positive():
