@@ -150,7 +150,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compute", help="n-width estimates for one r and a range of n")
     common(p)
     p.add_argument("--n", required=True, help="n value or range 'lo..hi'")
-    p.add_argument("--dump-matrix", default=None, help="also dump the assembled matrix to this file")
+    p.add_argument("--dump-matrix", default=None,
+                   help="also dump the solved matrix to this file: the [0,1] matrix of (r, m), "
+                        "which (b-a)^(2r) scales to [a,b]")
 
     p = sub.add_parser("conjecture-table", help="relative error to the conjectured value, r=1..r-max")
     common(p)

@@ -17,6 +17,7 @@ from ._io import write_rows
 from .errors import NumericalError, ValidationError
 from .eigensolver import top_eigenvalues
 from .kernel import Interval, Kernel
+from .nwidths import dn_from_eigenvalue
 from .nystrom import assemble, build_grid
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -116,7 +117,7 @@ def run_study(
         lam = top_eigenvalues(system, count)
         if np.any(lam <= 0):
             raise NumericalError(f"nonpositive eigenvalue at h={h}; rank beyond float64 resolution")
-        return np.sqrt(lam)
+        return np.array([dn_from_eigenvalue(v, r + k, r, interval) for k, v in enumerate(lam)])
 
     d_by_h = np.array([d_values(h) for h in hs])
     if h_ref is None:

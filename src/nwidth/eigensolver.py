@@ -1,4 +1,7 @@
-"""Top eigenpairs of the symmetric positive collocation matrix.
+"""Top eigenpairs of the symmetric positive collocation matrix on [0, 1].
+
+Nothing here reads the interval: `nwidths.dn_from_eigenvalue` scales the
+eigenvalues to [a, b], and the eigenvectors are the same on every interval.
 
 The production path is LAPACK's dense symmetric solver (tridiagonalization
 plus implicit-shift iteration) through scipy.  The enforced contract is:
@@ -9,7 +12,7 @@ the solver's internal iteration budget raises instead of returning
 silently.
 
 Every pair carries an a-posteriori bound on the error of its samples
-against the eigenvector of the collocation matrix with exact nodes: the
+against the eigenvector of the exact [0, 1] collocation matrix: the
 residual norm, plus the effect of the assembly's rounding, divided by the
 distance to the nearest other eigenvalue (the gap theorem; Parlett,
 *The Symmetric Eigenvalue Problem*).
@@ -24,7 +27,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError, ValidationError
-from .kernel import Kernel
 from .nystrom import Grid, NystromSystem
 
 RESIDUAL_TOL = 1e-10
@@ -34,42 +36,26 @@ ORTHO_TOL = 1e-8
 TIE_REL_TOL = 1e-13
 #: Eigenvalues of a float64 solve are trusted to GAP_MARGIN * eps * lambda_1.
 GAP_MARGIN = 16.0
-#: Relative rounding of the assembled entries, per unit of
-#: (r + 3) * eps * (1 + max(|a|, |b|) / (b - a)).  A model, not a proof,
-#: calibrated against the double-double matrix of `nwidth.extended`: over
-#: r = 1..20, m = 240..2047 and six intervals up to 5.7 spans from 0, every
-#: float64 sample of ranks 1..8 lay within 0.47 of its bound of the refined
-#: one.  The assembly rounds no nodes, so the interval enters the matrix
-#: only as the scale (b-a)^(2r), and the factor in max(|a|, |b|) no longer
-#: models a mechanism; it stays because the samples still differ between
-#: intervals (the eigensolver rounds differently on each scaled copy), and
-#: without it one sample reached 0.57 of its bound (r = 12, m = 2047,
-#: [-2, -1.65], rank 3).
-ASSEMBLY_ROUNDING = 0.125
+#: Relative rounding of the assembled entries, per unit of (r + 3) * eps.
+#: A model, not a proof, calibrated against the double-double matrix of
+#: `nwidth.extended`.  Every interval is solved on the one [0, 1] matrix of
+#: its (r, m); over r = 1..20, m = 240, 500, 1000, 2047 and ranks 1..8
+#: every float64 sample lay within 0.456 of its bound of the refined one
+#: (largest at r = 14, m = 2047, rank 3).
+ASSEMBLY_ROUNDING = 0.25
 _EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
 class Eigenpair:
     index: int  # 1-based rank by descending eigenvalue
-    value: float
+    value: float  # eigenvalue of the [0, 1] matrix
     vector: np.ndarray  # interior node values
     #: Bound on the error of every sample of `vector` (whose largest sample
     #: is 1).  0.0 declares the samples exact: knot extraction then never
     #: refines them and takes only samples within ZERO_SAMPLE_TOL of zero
     #: as vanishing.
     error_bound: float
-
-
-def assembly_rounding(kernel: Kernel) -> float:
-    """Relative rounding level of the assembled matrix entries.
-
-    The entries lie within (r + 3) * eps of the matrix with exact nodes on
-    every interval; the calibrated factor in max(|a|, |b|) / (b - a) keeps
-    the sample bound above the errors measured for it (ASSEMBLY_ROUNDING).
-    """
-    iv = kernel.interval
-    return ASSEMBLY_ROUNDING * (kernel.r + 3) * _EPS * (1.0 + max(abs(iv.a), abs(iv.b)) / iv.span)
 
 
 def sample_error_bound(
@@ -83,9 +69,9 @@ def sample_error_bound(
     at which a float64 product A v can be formed, and the gap is reduced
     by the uncertainty GAP_MARGIN * eps * lambda_1 of the eigenvalues.
 
-    The assembled matrix A differs from the one with exact nodes by its
-    rounding, modelled as A + D A + A D with a diagonal |D| <= `rounding`
-    (`assembly_rounding`).  Its term theta * D v moves v by at most
+    The assembled matrix A differs from the exact one by its rounding,
+    modelled as A + D A + A D with a diagonal |D| <= `rounding`
+    (ASSEMBLY_ROUNDING * (r + 3) * eps).  Its term theta * D v moves v by at most
     rounding * theta * ||v|| / gap; the component of A D v along the
     eigenvector of lambda_j moves it by lambda_j / |lambda_j - theta| times
     that component, at most `above` / gap, where `above` is the next larger
@@ -110,7 +96,7 @@ def _solve_subset(A: np.ndarray, count: int, vectors: bool):
 
 
 def top_eigenvalues(system: NystromSystem, count: int) -> np.ndarray:
-    """The `count` largest eigenvalues in descending order, unchecked.
+    """The `count` largest eigenvalues of the [0, 1] matrix in descending order, unchecked.
 
     Raw solver output: callers that tabulate near the float64 floor flag
     nonpositive or tied values themselves instead of failing hard.
@@ -123,7 +109,7 @@ def top_eigenvalues(system: NystromSystem, count: int) -> np.ndarray:
 
 
 def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:
-    """The `count` largest eigenpairs, sorted by strictly descending eigenvalue."""
+    """The `count` largest eigenpairs of the [0, 1] matrix, by strictly descending eigenvalue."""
     A = system.matrix
     m = A.shape[0]
     if not 1 <= count <= m:
@@ -159,7 +145,7 @@ def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:
     if off > ORTHO_TOL:
         raise NumericalError(f"eigenvectors lost orthogonality: {off:.3e} > {ORTHO_TOL:g}")
 
-    rounding = assembly_rounding(system.kernel)
+    rounding = ASSEMBLY_ROUNDING * (system.kernel.r + 3) * _EPS
     pairs = []
     for k in range(count):
         gap = min(np.abs(np.delete(w, k) - w[k]), default=w[0])

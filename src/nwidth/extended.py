@@ -8,11 +8,11 @@ instead: every number is an unevaluated sum hi + lo of two float64 arrays
 (double-double; Dekker 1971, Hida, Li and Bailey 2001).
 
 The matrix is assembled on the unit interval with exact uniform nodes
-t_i = i/(m+1).  Its entries differ from those on [a, b] only by the
-factor (b-a)^(2r), so it has the same eigenvectors.  Every coefficient of
-de Boor's recurrence there is a ratio of integers, and the recurrence
-only forms convex combinations of nonnegative numbers, so the double-double
-entries carry a relative error of a few units of 2^-104.
+t_i = i/(m+1), like the float64 matrix of `nwidth.nystrom` on which every
+interval is solved.  Every coefficient of de Boor's recurrence there is a
+ratio of integers, and the recurrence only forms convex combinations of
+nonnegative numbers, so the double-double entries carry a relative error
+of a few units of 2^-104.
 
 `ExtendedSystem.refine` runs residual-correction iterations: the residual is
 formed in double-double against that matrix, and the correction is solved
@@ -212,16 +212,15 @@ class ExtendedSystem:
         others = np.delete(self.values, pos)
         return float(np.abs(others - theta).min()) if others.size else float(self.values[-1])
 
-    def refine(self, pair: Eigenpair, span: float) -> Eigenpair:
-        """The rank-k eigenpair of the exact collocation matrix, to double-double accuracy.
+    def refine(self, pair: Eigenpair) -> Eigenpair:
+        """The rank-k eigenpair of the exact [0, 1] collocation matrix, to double-double accuracy.
 
-        `pair` is the float64 pair of the same rank on an interval of length
-        `span`; the result is scaled to that interval and oriented like it.
-        Raises NumericalError when the rank's eigenvalue gap is within the
-        float64 resolution of lambda_1, where no float64 correction converges,
-        and when `pair` is not this rank of this system: its eigenvalue must
-        lie nearer to the rank's eigenvalue than to any other, and its samples
-        within their bound of the refined ones.
+        `pair` is the float64 pair of the same rank; the result is oriented
+        like it.  Raises NumericalError when the rank's eigenvalue gap is
+        within the float64 resolution of lambda_1, where no float64
+        correction converges, and when `pair` is not this rank of this
+        system: its eigenvalue must lie nearer to the rank's eigenvalue than
+        to any other, and its samples within their bound of the refined ones.
         """
         m = self.m
         k = pair.index
@@ -241,14 +240,10 @@ class ExtendedSystem:
                 f"{beyond}: its eigenvalue gap {gap / lam1:.1e}*lambda_1 is below the "
                 f"{2 * margin / lam1:.1e}*lambda_1 that a float64 correction resolves"
             )
-        with np.errstate(all="ignore"):  # an unrepresentable scale fails the check below
-            scale = np.float64(span) ** (2 * self.r)
-            unit_value = pair.value / scale
         mismatch = f"the float64 pair is not the rank-{k} eigenpair of the r={self.r} matrix with m={m}"
-        if not abs(unit_value - w[pos]) < gap / 2:
+        if not abs(pair.value - w[pos]) < gap / 2:
             raise NumericalError(
-                f"{mismatch}: its eigenvalue {unit_value:.6e} (scaled to the unit interval) "
-                f"is not nearest to {w[pos]:.6e}"
+                f"{mismatch}: its eigenvalue {pair.value:.6e} is not nearest to {w[pos]:.6e}"
             )
         xh = Q[:, pos] if np.dot(Q[:, pos], pair.vector) >= 0 else -Q[:, pos]
         xl = np.zeros(m)
@@ -279,6 +274,4 @@ class ExtendedSystem:
                 f"beyond their bound {pair.error_bound:.1e}"
             )
         vh.setflags(write=False)
-        with np.errstate(over="ignore"):
-            value = float(theta * scale)
-        return Eigenpair(index=k, value=value, vector=vh, error_bound=bound)
+        return Eigenpair(index=k, value=float(theta), vector=vh, error_bound=bound)

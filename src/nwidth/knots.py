@@ -158,10 +158,8 @@ def extract_knots(pair: Eigenpair, grid: Grid, tol: float | None = None, *, r: i
     refined samples resolve, or the pair does not belong to the order-r
     kernel on this grid.
     """
-    nodes = grid.nodes
-    span = float(nodes[-1] - nodes[0])
     if tol is None:
-        tol = DEFAULT_TOL_SCALE * span
+        tol = DEFAULT_TOL_SCALE * float(grid.nodes[-1] - grid.nodes[0])
     if tol <= 0:
         raise ValidationError("refinement tolerance must be positive")
     try:
@@ -169,7 +167,7 @@ def extract_knots(pair: Eigenpair, grid: Grid, tol: float | None = None, *, r: i
     except _Unresolved as exc:
         if pair.error_bound == 0.0:
             raise NumericalError(f"{exc}; {exc.hint}") from None
-        refined = _extended_system(r, grid.m).refine(pair, span)
+        refined = _extended_system(r, grid.m).refine(pair)
         try:
             zeros, error = _zeros(refined, grid, tol)
         except _Unresolved as exc2:

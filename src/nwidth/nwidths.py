@@ -4,18 +4,23 @@ For n >= r the n-width equals the square root of the (n+1-r)-th largest
 integral-operator eigenvalue.  Its inverse r-th root is bracketed by
 (n-r+1)*pi/(b-a) and n*pi/(b-a), and conjectured to approach the midpoint
 (n-(r-1)/2)*pi/(b-a) of that bracket as n grows.
+
+Eigenvalues come from the one [0, 1] collocation matrix of (r, m); the
+interval enters only through the exact law d_n = (b-a)^r * sqrt(lambda),
+applied by `dn_from_eigenvalue`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._io import records, write_rows
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .eigensolver import TIE_REL_TOL, top_eigenvalues
 from .kernel import Interval, Kernel
 from .nystrom import assemble, build_grid
@@ -23,6 +28,7 @@ from .nystrom import assemble, build_grid
 _EPS = float(np.finfo(np.float64).eps)
 #: Eigenvalues below this multiple of the largest one carry no trustworthy digits.
 PRECISION_FLOOR = 1e3 * _EPS
+UNIT = Interval(0.0, 1.0)
 
 #: Columns in the order of the fields of NWidthResult.
 CSV_HEADER = "r,n,m,d_n,dn_inv_r,lower,upper,conjecture,rel_err,flag"
@@ -44,13 +50,29 @@ class NWidthResult:
     flag: str = ""
 
 
-def dn_from_eigenvalue(lam: float, n: int, r: int) -> float:
-    """d_n = sqrt(lam) where lam is the (n+1-r)-th largest eigenvalue."""
+def dn_from_eigenvalue(lam: float, n: int, r: int, interval: Interval = UNIT) -> float:
+    """d_n = (b-a)^r * sqrt(lam) where lam is the (n+1-r)-th largest eigenvalue on [0, 1].
+
+    (b-a)^r is formed from the mantissa of b-a and scaled by a power of
+    two, so it is exact on [0, 1] and overflows only where d_n does.  A
+    d_n outside the normal float64 range, where it would lose digits or
+    become 0 or inf, raises NumericalError.
+    """
     if r < 1 or n < r:
         raise ValidationError(f"need n >= r >= 1, got n={n}, r={r}")
     if lam <= 0:
         raise ValidationError(f"eigenvalue must be positive, got {lam}")
-    return math.sqrt(lam)
+    frac, e = math.frexp(interval.span)
+    try:
+        d_n = math.ldexp(frac**r * math.sqrt(lam), e * r)
+    except OverflowError:
+        d_n = math.inf
+    if not sys.float_info.min <= d_n < math.inf:
+        raise NumericalError(
+            f"the span b-a = {interval.span:g} is beyond float64 range for r={r}: "
+            f"d_{n} = (b-a)^{r} * {math.sqrt(lam):.3e} {'overflows' if d_n > 1 else 'underflows'}"
+        )
+    return d_n
 
 
 def proven_bounds(r: int, n: int, interval: Interval) -> tuple[float, float]:
@@ -73,8 +95,9 @@ def rows_from_eigenvalues(
 ) -> list[NWidthResult]:
     """Tabulate results for the given ranks from precomputed eigenvalues.
 
-    d_n^(-1/r) is computed as one root extraction of the eigenvalue,
-    lam^(-1/(2r)), rather than through d_n itself.  Rows whose eigenvalue
+    `lambdas` are eigenvalues of the [0, 1] matrix.  d_n^(-1/r) is
+    computed as one root extraction of the eigenvalue, lam^(-1/(2r)),
+    divided by b-a, rather than through d_n itself.  Rows whose eigenvalue
     is nonpositive, ties its predecessor, or falls below the float64
     precision floor are flagged instead of trusted.
     """
@@ -97,8 +120,8 @@ def rows_from_eigenvalues(
             flag = "non-monotone"
         elif lam < PRECISION_FLOOR * lam1:
             flag = "precision-limited"
-        d_n = math.sqrt(lam)
-        dn_inv_r = 1.0 / lam ** (1.0 / (2 * r))
+        d_n = dn_from_eigenvalue(lam, n, r, interval)
+        dn_inv_r = 1.0 / lam ** (1.0 / (2 * r)) / interval.span
         rel_err = abs(dn_inv_r - conj) / conj
         rows.append(NWidthResult(r, n, m, d_n, dn_inv_r, lower, upper, conj, rel_err, flag))
     return rows

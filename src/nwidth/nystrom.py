@@ -1,11 +1,13 @@
 """Uniform grid and trapezoid-rule collocation matrix of the kernel eigenproblem.
 
-The matrix stores h * g(xi_k, xi_l) over the interior nodes, so its
-eigenvalues approximate the integral-operator eigenvalues directly.  On
-and above its diagonal it equals X Y^T for two m x r factors (the closed
-form of `nwidth.kernel`): a symmetric semiseparable matrix of rank r,
-assembled in O(m^2 r) operations by one matrix product.  It depends on
-the interval only through the factor (b-a)^(2r).
+The matrix stores h * g(t_k, t_l) over the interior nodes t_k = k/(m+1)
+of [0, 1], so its eigenvalues approximate the integral-operator
+eigenvalues there directly.  On and above its diagonal it equals X Y^T
+for two m x r factors (the closed form of `nwidth.kernel`): a symmetric
+semiseparable matrix of rank r, assembled in O(m^2 r) operations by one
+matrix product.  The collocation matrix on [a, b] is (b-a)^(2r) times it,
+with the same eigenvectors, so every interval is solved on this one
+matrix of (r, m); the grid keeps the nodes of [a, b].
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .kernel import Kernel, Interval, kernel_column
 
 
@@ -44,42 +46,31 @@ def build_grid(interval: Interval, m: int) -> Grid:
 class NystromSystem:
     kernel: Kernel
     grid: Grid
-    matrix: np.ndarray  # m x m, symmetric, entries h * g(xi_k, xi_l) > 0
+    matrix: np.ndarray  # m x m, symmetric, entries h * g(t_k, t_l) > 0 on [0, 1]
 
 
 def assemble(kernel: Kernel, grid: Grid) -> NystromSystem:
-    """Assemble h * g(xi_k, xi_l) from one rank-r matrix product.
+    """Assemble the collocation matrix on [0, 1] from one rank-r matrix product.
 
-    Lengths are measured in units of h: on [0, m+1] the nodes are the
-    integers 1..m, exact in float64 whatever the interval, and
+    Lengths are measured in units of the mesh: on [0, m+1] the nodes are
+    the integers 1..m, exact in float64, and
 
-        h * g_ab(xi_k, xi_l) = h^(2r) * g_[0,m+1](k, l)
-                             = (b-a)^(2r) / (m+1) * g(k/(m+1), l/(m+1)).
+        h * g(t_k, t_l) = (m+1)^(-2r) * g_[0,m+1](k, l),  t_k = k/(m+1).
 
     `kernel_column` forms the whole block g_[0,m+1](k, l) as one product
     of its m x r factors, which is the kernel on and above the diagonal;
-    the upper triangle is kept, scaled by h^r twice (so no intermediate
-    overflows where the entries fit), and mirrored, so the matrix is
-    exactly symmetric.  A span whose entries overflow float64 raises
-    NumericalError; entries below its range underflow to zero.
+    the upper triangle is kept, scaled by (m+1)^(-r) twice, and mirrored,
+    so the matrix is exactly symmetric.  The interval's scale (b-a)^(2r)
+    is applied to the results by `nwidths.dn_from_eigenvalue`.
     """
-    iv = kernel.interval
-    if grid.nodes[0] != iv.a or grid.nodes[-1] != iv.b:
+    if grid.nodes[0] != kernel.interval.a or grid.nodes[-1] != kernel.interval.b:
         raise ValidationError("grid interval does not match kernel interval")
     m, r = grid.m, kernel.r
-    beyond = f"the span b-a = {iv.span:g} is beyond float64 range for r={r}"
-    num, den = iv.span.as_integer_ratio()
-    try:
-        step = num**r / (den * (m + 1)) ** r  # h^r, rounded once
-    except OverflowError:
-        raise NumericalError(beyond) from None
+    step = 1 / (m + 1) ** r  # h^r on [0, 1], rounded once
     k = np.arange(1.0, m + 1)
     A = np.triu(kernel_column(Kernel(r, Interval(0.0, m + 1)), k, k))
-    with np.errstate(over="ignore"):
-        A *= step
-        A *= step
-    if not np.isfinite(A.max()):
-        raise NumericalError(f"{beyond}: the matrix entries overflow")
+    A *= step
+    A *= step
     A += np.triu(A, 1).T
     A.setflags(write=False)
     return NystromSystem(kernel=kernel, grid=grid, matrix=A)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,21 +89,47 @@ def test_default_mesh_sizes_are_fractions_of_the_span(capsys):
 
 
 def test_large_span_prints_finite_rows(capsys):
-    argv = ["compute", "--r", "20", "--n", "20..21", "--m", "127", "--interval", "0,1e8"]
-    assert main(argv) == 0
-    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert len(rows) == 2
-    assert all(math.isfinite(float(row["d_n"])) and row["flag"] == "" for row in rows)
+    # every interval is solved on the [0, 1] matrix: d_n = (b-a)^r * sqrt(lambda)
+    # is finite wherever it fits float64, however large or small the span
+    for argv, exponent in (
+        (["--r", "20", "--n", "20..21", "--m", "127", "--interval", "0,1e8"], 129),
+        (["--r", "20", "--n", "20..21", "--m", "127", "--interval", "0,1e15"], 269),
+        # (b-a)^r = 1e320 alone is beyond float64, d_n is not
+        (["--r", "20", "--n", "20..21", "--m", "127", "--interval", "0,1e16"], 289),
+        (["--r", "3", "--n", "3..4", "--m", "63", "--interval", "0,1e-60"], -183),
+    ):
+        assert main(["compute", *argv]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 2
+        assert all(math.isfinite(float(row["d_n"])) and row["flag"] == "" for row in rows)
+        assert math.floor(math.log10(float(rows[0]["d_n"]))) == exponent
 
 
-@pytest.mark.parametrize("interval", ["0,1e15", "0,1e20"])
+@pytest.mark.parametrize("interval", ["0,1e20", "0,1e-20"])
 def test_span_beyond_float64_range_is_a_numerical_failure(interval, capsys):
+    # r=20: d_n = (b-a)^20 * 8.9e-31 overflows for 1e20 and underflows for 1e-20
     argv = ["compute", "--r", "20", "--n", "20..21", "--m", "127", "--interval", interval]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical failure" in captured.err
     assert "beyond float64 range" in captured.err
+
+
+def test_knots_on_a_large_span_map_the_unit_knots(capsys):
+    # the eigenpairs are those of the [0, 1] matrix on any span: no overflow
+    # warning, and the [0, 1] knot times 1e8 within the tolerance 1e-10 * (b-a)
+    for interval in ("0,1", "0,1e8"):
+        argv = ["knots", "--r", "20", "--k", "1..2", "--m", "127", "--interval", interval]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        zero = float(captured.out.splitlines()[1].split(",")[3])
+        if interval == "0,1":
+            unit = zero
+    assert abs(zero / 1e8 - unit) <= 1e-10
 
 
 def test_compute_writes_csv(tmp_path):
@@ -167,16 +194,19 @@ def test_json_and_csv_agree(tmp_path):
 
 
 def test_json_nonfinite_values_are_null(capsys):
-    # on a span of 1e-60 every eigenvalue underflows: the rows are nonpositive, d_n is NaN
-    argv = ["compute", "--r", "3", "--n", "3..4", "--m", "63", "--interval", "0,1e-60", "--format", "json"]
+    # ranks far beyond float64 resolution on [0, 1]: some eigenvalues come out
+    # nonpositive, and those rows have NaN values, written as null
+    argv = ["compute", "--r", "20", "--n", "45..50", "--m", "63", "--format", "json"]
     assert main(argv) == 0
 
     def refuse(token):
         raise ValueError(f"invalid JSON token {token}")
 
     rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
-    assert [row["d_n"] for row in rows] == [None, None]
-    assert [row["flag"] for row in rows] == ["nonpositive", "nonpositive"]
+    nonpositive = [row for row in rows if row["flag"] == "nonpositive"]
+    assert nonpositive
+    for row in nonpositive:
+        assert row["d_n"] is None and row["dn_inv_r"] is None and row["rel_err"] is None
 
 
 def test_dump_matrix(tmp_path):

@@ -62,28 +62,29 @@ def test_refined_vector_within_the_float64_bound():
     pairs = top_eigenpairs(assemble(Kernel(4, UNIT), build_grid(UNIT, m)), 10)
     extended = ExtendedSystem(4, m)
     for pair in pairs:
-        refined = extended.refine(pair, 1.0)
+        refined = extended.refine(pair)
         assert refined.error_bound < 1e-15
         assert np.abs(pair.vector - refined.vector).max() <= pair.error_bound
         assert refined.value == pytest.approx(pair.value, rel=1e-10)
 
 
 def test_float64_bound_covers_assembly_rounding_away_from_zero():
-    # on [-2, -1.65] the rounding of the nodes perturbs the assembled matrix
-    # by several eps * lambda_1; the rank-1 residual alone understated it
+    # an interval away from 0 is solved on the [0, 1] matrix of (r, m) like any
+    # other, and the bound, which counts that matrix's rounding against the
+    # double-double one, covers the samples (rank 1: error 6.7e-16, bound 1.8e-14)
     iv = Interval(-2.0, -1.65)
     m = 300
     pairs = top_eigenpairs(assemble(Kernel(20, iv), build_grid(iv, m)), 4)
     extended = ExtendedSystem(20, m)
     for pair in pairs:
-        refined = extended.refine(pair, iv.span)
+        refined = extended.refine(pair)
         assert np.abs(pair.vector - refined.vector).max() <= pair.error_bound
 
 
 def test_refinement_rejects_a_pair_of_another_order():
     pairs = top_eigenpairs(assemble(Kernel(4, UNIT), build_grid(UNIT, 60)), 3)
     with pytest.raises(NumericalError, match="not the rank-3 eigenpair of the r=5 matrix"):
-        ExtendedSystem(5, 60).refine(pairs[2], 1.0)
+        ExtendedSystem(5, 60).refine(pairs[2])
 
 
 def test_refinement_rejects_samples_of_another_rank():
@@ -92,14 +93,17 @@ def test_refinement_rejects_samples_of_another_rank():
     swapped = Eigenpair(index=3, value=pairs[2].value, vector=pairs[1].vector,
                         error_bound=pairs[1].error_bound)
     with pytest.raises(NumericalError, match="its samples lie"):
-        ExtendedSystem(4, 60).refine(swapped, 1.0)
+        ExtendedSystem(4, 60).refine(swapped)
 
 
-def test_refinement_scales_value_to_interval():
+def test_refined_value_is_the_unit_interval_value():
+    # on [-1, 1] the pairs are those of the [0, 1] matrix, and so is the refined value
     iv = Interval(-1.0, 1.0)
     pairs = top_eigenpairs(assemble(Kernel(3, iv), build_grid(iv, 50)), 2)
-    refined = ExtendedSystem(3, 50).refine(pairs[1], iv.span)
-    assert refined.value == pytest.approx(pairs[1].value, rel=1e-12)
+    unit = top_eigenpairs(assemble(Kernel(3, UNIT), build_grid(UNIT, 50)), 2)
+    refined = ExtendedSystem(3, 50).refine(pairs[1])
+    assert pairs[1].value == unit[1].value
+    assert refined.value == pytest.approx(unit[1].value, rel=1e-12)
     assert np.dot(refined.vector, pairs[1].vector) > 0
 
 
@@ -107,4 +111,4 @@ def test_refinement_refuses_ranks_beyond_float64():
     iv = Interval(-1.0, 1.0)
     pairs = top_eigenpairs(assemble(Kernel(20, iv), build_grid(iv, 240)), 15)
     with pytest.raises(NumericalError, match="beyond float64 precision"):
-        ExtendedSystem(20, 240).refine(pairs[14], iv.span)
+        ExtendedSystem(20, 240).refine(pairs[14])
