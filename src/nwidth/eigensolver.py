@@ -3,13 +3,22 @@
 Nothing here reads the interval: `nwidths.dn_from_eigenvalue` scales the
 eigenvalues to [a, b], and the eigenvectors are the same on every interval.
 
-The production path is LAPACK's dense symmetric solver (tridiagonalization
-plus implicit-shift iteration) through scipy.  The enforced contract is:
-strictly descending positive simple eigenvalues, per-pair residuals below
-RESIDUAL_TOL times the Frobenius norm, pairwise near-orthogonality, max-norm
-normalized vectors with a positive leading entry.  A solve that exhausts
-the solver's internal iteration budget raises instead of returning
-silently.
+Eigenvalues alone (`top_eigenvalues`, which serves the n-width rows, the
+conjecture table and the convergence studies) come from ARPACK's
+implicitly restarted Lanczos method (Lehoucq, Sorensen and Yang, *ARPACK
+Users' Guide*, 1998) through scipy, on the O(m r) product of
+`NystromSystem.matvec`: no m x m array is formed.  It starts from a fixed
+seeded vector, so the same system gives bitwise the same values.  Only a
+request for all m eigenvalues, which ARPACK does not serve, goes to the
+dense solver.
+
+Eigenpairs (`top_eigenpairs`) come from LAPACK's dense symmetric solver
+(tridiagonalization plus implicit-shift iteration) on the formed matrix.
+Their enforced contract is: strictly descending positive simple
+eigenvalues, per-pair residuals below RESIDUAL_TOL times the Frobenius
+norm, pairwise near-orthogonality, max-norm normalized vectors with a
+positive leading entry.  A solve that exhausts either solver's iteration
+budget raises NumericalError instead of returning silently.
 
 Every pair carries an a-posteriori bound on the error of its samples
 against the eigenvector of the exact [0, 1] collocation matrix: the
@@ -25,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import NumericalError, ValidationError
 from .nystrom import Grid, NystromSystem
@@ -44,6 +54,8 @@ GAP_MARGIN = 16.0
 #: (largest at r = 14, m = 2047, rank 3).
 ASSEMBLY_ROUNDING = 0.25
 _EPS = float(np.finfo(np.float64).eps)
+#: Seed of the Lanczos start vector.
+START_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -101,11 +113,21 @@ def top_eigenvalues(system: NystromSystem, count: int) -> np.ndarray:
     Raw solver output: callers that tabulate near the float64 floor flag
     nonpositive or tied values themselves instead of failing hard.
     """
-    m = system.matrix.shape[0]
+    m = system.grid.m
     if not 1 <= count <= m:
         raise ValidationError(f"count must be in [1, {m}], got {count}")
-    w, _ = _solve_subset(system.matrix, count, vectors=False)
-    return w
+    if count == m:
+        # ARPACK solves for fewer eigenvalues than the order; only tiny meshes get here
+        return _solve_subset(system.matrix, count, vectors=False)[0]
+    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=system.matvec, dtype=float)
+    # a fixed generic start: the result does not depend on earlier solves, and a
+    # start vector with a mirror symmetry would miss half the eigenvectors
+    v0 = np.random.default_rng(START_SEED).standard_normal(m)
+    try:
+        w = scipy.sparse.linalg.eigsh(op, k=count, which="LA", tol=0, v0=v0, return_eigenvectors=False)
+    except (scipy.sparse.linalg.ArpackNoConvergence, scipy.sparse.linalg.ArpackError) as exc:
+        raise NumericalError(f"eigensolver did not converge within its iteration budget: {exc}") from exc
+    return np.sort(w)[::-1]
 
 
 def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:

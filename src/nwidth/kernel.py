@@ -10,8 +10,9 @@ g(x, y) = g(y, x) for x > y.  In the Bernstein bases of indices r..2r-1
 in x and 0..r-1 in y the coefficient matrix is anti-diagonal with these
 binomial entries.  Each term is a function of x times a function of y,
 so over points x_1..x_m and y_1..y_n with x_k <= y_l the kernel is the
-product X Y^T of an m x r and an n x r factor: the collocation matrix is
-a symmetric semiseparable matrix of rank r (Vandebril, Van Barel and
+product X Y^T of an m x r and an n x r factor (`kernel_factors` builds
+the factors, `kernel_column` forms the product): the collocation matrix
+is a symmetric semiseparable matrix of rank r (Vandebril, Van Barel and
 Mastronardi, *Matrix Computations and Semiseparable Matrices*, 2008).
 
 g vanishes whenever x or y hits an endpoint, is symmetric, and is
@@ -72,12 +73,10 @@ def _coefficients(r: int) -> np.ndarray:
     return np.array([(-1) ** i * math.comb(2 * r - 1, r - 1 - i) / f for i in range(r)])
 
 
-def kernel_column(k: Kernel, y, xs: np.ndarray) -> np.ndarray:
-    """g(xs_i, y) for a batch of points with xs_i <= y (assembly fast path).
+def kernel_factors(k: Kernel, xs, y) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's factors X (a row per point of xs) and Y (a row per point of y), of r columns.
 
-    With an array y the result is the block g(xs_i, y_j), one product of
-    an m x r and an r x n factor; it is the kernel wherever xs_i <= y_j.
-
+    g(xs_i, y_j) = X_i . Y_j wherever xs_i <= y_j, by the closed form above.
     The factors are powers of the distances x-a and b-x to the endpoints,
     which carry no rounding when the points lie on an integer grid; the
     distances are scaled by a power of two so that the span lies in
@@ -95,9 +94,19 @@ def kernel_column(k: Kernel, y, xs: np.ndarray) -> np.ndarray:
     Y = np.ldexp(ys - a, -e)[..., None] ** down * np.ldexp(b - ys, -e)[..., None] ** up
     X *= np.ldexp(frac**-r, e * r)
     Y *= _coefficients(r) * np.ldexp(frac ** (1 - r), e * (r - 1))
+    return X, Y
+
+
+def kernel_column(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The kernel from its factors (`kernel_factors`): g(xs_i, y) for one point y.
+
+    For an array y the result is the block g(xs_i, y_j), the product of
+    the m x r factor X and the transpose of the n x r factor Y; it is the
+    kernel wherever xs_i <= y_j.
+    """
     # numpy's own product loop, not BLAS: a threaded BLAS product leaves its
-    # worker threads spinning, which on two cores made the eigensolve that
-    # follows every assembly about twice as slow
+    # worker threads spinning, which on two cores made the dense eigensolve
+    # that follows an assembled matrix about twice as slow
     return np.einsum("ik,...k->i...", X, Y)
 
 
@@ -111,4 +120,4 @@ def kernel_eval(k: Kernel, x: float, y: float) -> float:
     lo, hi = (x, y) if x <= y else (y, x)
     if lo == a or hi == b:
         return 0.0
-    return float(kernel_column(k, hi, np.array([lo]))[0])
+    return float(kernel_column(*kernel_factors(k, np.array([lo]), hi))[0])

@@ -2,22 +2,25 @@
 
 The matrix stores h * g(t_k, t_l) over the interior nodes t_k = k/(m+1)
 of [0, 1], so its eigenvalues approximate the integral-operator
-eigenvalues there directly.  On and above its diagonal it equals X Y^T
-for two m x r factors (the closed form of `nwidth.kernel`): a symmetric
-semiseparable matrix of rank r, assembled in O(m^2 r) operations by one
-matrix product.  The collocation matrix on [a, b] is (b-a)^(2r) times it,
-with the same eigenvectors, so every interval is solved on this one
-matrix of (r, m); the grid keeps the nodes of [a, b].
+eigenvalues there directly.  On and above its diagonal it equals
+step^2 X Y^T for two m x r factors (the closed form of `nwidth.kernel`):
+a symmetric semiseparable matrix of rank r.  A system holds only the
+factors, so a product with the matrix costs O(m r) operations and memory
+(`NystromSystem.matvec`); the m x m matrix itself is formed on first
+request.  The collocation matrix on [a, b] is (b-a)^(2r) times it, with
+the same eigenvectors, so every interval is solved on this one matrix of
+(r, m); the grid keeps the nodes of [a, b].
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .kernel import Kernel, Interval, kernel_column
+from .kernel import Kernel, Interval, kernel_column, kernel_factors
 
 
 @dataclass(frozen=True)
@@ -44,36 +47,75 @@ def build_grid(interval: Interval, m: int) -> Grid:
 
 @dataclass(frozen=True)
 class NystromSystem:
+    """The [0, 1] collocation matrix of (r, m), held as its generators.
+
+    On and above the diagonal the matrix is step * step * X Y^T, with two
+    factors X and Y of m rows (and r columns for an assembled system) and
+    the scale step = (m+1)^(-r); below the diagonal it is the mirror image.
+    """
+
     kernel: Kernel
     grid: Grid
-    matrix: np.ndarray  # m x m, symmetric, entries h * g(t_k, t_l) > 0 on [0, 1]
+    X: np.ndarray
+    Y: np.ndarray
+
+    @property
+    def step(self) -> float:
+        return 1 / (self.grid.m + 1) ** self.kernel.r  # h^r on [0, 1], rounded once
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The m x m matrix, symmetric, entries h * g(t_k, t_l) > 0; formed once, on first use.
+
+        The upper triangle of the product, scaled by step twice and
+        mirrored, so the matrix is exactly symmetric.
+        """
+        step = self.step
+        A = np.triu(kernel_column(self.X, self.Y))
+        A *= step
+        A *= step
+        A += np.triu(A, 1).T
+        A.setflags(write=False)
+        return A
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product of the matrix with x in O(m r), from two cumulative sums.
+
+            (A x)_k = X_k . sum_{l>=k} Y_l x_l  +  Y_k . sum_{l<k} X_l x_l,
+
+        scaled by step twice.
+        """
+        x = np.asarray(x, dtype=float).reshape(-1)
+        tail = np.cumsum((self.Y * x[:, None])[::-1], axis=0)[::-1]
+        y = np.einsum("ik,ik->i", self.X, tail)
+        head = np.cumsum(self.X[:-1] * x[:-1, None], axis=0)
+        y[1:] += np.einsum("ik,ik->i", self.Y[1:], head)
+        step = self.step
+        y *= step
+        y *= step
+        return y
 
 
 def assemble(kernel: Kernel, grid: Grid) -> NystromSystem:
-    """Assemble the collocation matrix on [0, 1] from one rank-r matrix product.
+    """The collocation matrix on [0, 1] as its two m x r factors; no m x m array is formed.
 
     Lengths are measured in units of the mesh: on [0, m+1] the nodes are
     the integers 1..m, exact in float64, and
 
         h * g(t_k, t_l) = (m+1)^(-2r) * g_[0,m+1](k, l),  t_k = k/(m+1).
 
-    `kernel_column` forms the whole block g_[0,m+1](k, l) as one product
-    of its m x r factors, which is the kernel on and above the diagonal;
-    the upper triangle is kept, scaled by (m+1)^(-r) twice, and mirrored,
-    so the matrix is exactly symmetric.  The interval's scale (b-a)^(2r)
-    is applied to the results by `nwidths.dn_from_eigenvalue`.
+    `kernel_factors` gives g_[0,m+1](k, l) = X_k . Y_l for k <= l; the
+    system scales the product by (m+1)^(-r) twice.  The interval's scale
+    (b-a)^(2r) is applied to the results by `nwidths.dn_from_eigenvalue`.
     """
     if grid.nodes[0] != kernel.interval.a or grid.nodes[-1] != kernel.interval.b:
         raise ValidationError("grid interval does not match kernel interval")
-    m, r = grid.m, kernel.r
-    step = 1 / (m + 1) ** r  # h^r on [0, 1], rounded once
+    m = grid.m
     k = np.arange(1.0, m + 1)
-    A = np.triu(kernel_column(Kernel(r, Interval(0.0, m + 1)), k, k))
-    A *= step
-    A *= step
-    A += np.triu(A, 1).T
-    A.setflags(write=False)
-    return NystromSystem(kernel=kernel, grid=grid, matrix=A)
+    X, Y = kernel_factors(Kernel(kernel.r, Interval(0.0, m + 1)), k, k)
+    X.setflags(write=False)
+    Y.setflags(write=False)
+    return NystromSystem(kernel=kernel, grid=grid, X=X, Y=Y)
 
 
 def matrix_text(system: NystromSystem) -> str:

@@ -3,11 +3,12 @@
 Everything here is deliberately written apart from the package code
 paths: a Jacobi-rotation eigensolver, a Cox-de Boor evaluator of a
 single B-spline, the de Boor form of the kernel and its collocation
-matrix, closed-form kernels, a piecewise-polynomial
-construction of the Green's function, the exact eigenvalues of the r=1
-collocation matrix, continuum eigenfrequency references for r in
-{2, 3, 4}, and two mpmath references: a continuum eigenfrequency solver
-for any r and extended-precision Ritz values of the collocation matrix.
+matrix, LAPACK's dense symmetric eigensolver, closed-form kernels, a
+piecewise-polynomial construction of the Green's function, the exact
+eigenvalues of the r=1 collocation matrix, continuum eigenfrequency
+references for r in {2, 3, 4}, and two mpmath references: a continuum
+eigenfrequency solver for any r and extended-precision Ritz values of
+the collocation matrix.
 mpmath is imported only by the functions that use it.
 """
 
@@ -17,6 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
 
@@ -216,6 +218,12 @@ def deboor_matrix(r, interval, m):
     A[iu, ju] = h * (scale[ju] * bspline_factor(r, a, b, inner[ju], inner[iu]))
     A += np.triu(A, 1).T
     return A
+
+
+def dense_top_eigenvalues(A, count):
+    """The `count` largest eigenvalues of a symmetric matrix, descending, by LAPACK's dense solver."""
+    m = A.shape[0]
+    return scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(m - count, m - 1))[::-1]
 
 
 def kernel_r1(a, b, x, y):

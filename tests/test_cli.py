@@ -1,14 +1,19 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from nwidth import Interval, Kernel, assemble, build_grid, nystrom
 from nwidth.cli import DEFAULT_H_LIST, DEFAULT_H_REF, _build_parser, main, parse_args
 
-from oracles import kernel_r1
+from oracles import dense_top_eigenvalues, kernel_r1
+
+EPS = np.finfo(float).eps
 
 
 def parse(argv):
@@ -196,7 +201,7 @@ def test_json_and_csv_agree(tmp_path):
 def test_json_nonfinite_values_are_null(capsys):
     # ranks far beyond float64 resolution on [0, 1]: some eigenvalues come out
     # nonpositive, and those rows have NaN values, written as null
-    argv = ["compute", "--r", "20", "--n", "45..50", "--m", "63", "--format", "json"]
+    argv = ["compute", "--r", "20", "--n", "20..82", "--m", "63", "--format", "json"]
     assert main(argv) == 0
 
     def refuse(token):
@@ -221,6 +226,51 @@ def test_dump_matrix(tmp_path):
     h = 1.0 / 6.0
     expected = h * kernel_r1(0.0, 1.0, 2 * h, 3 * h)
     assert A[1, 2] == expected
+
+
+def test_dump_matrix_forms_the_matrix_once(tmp_path, monkeypatch):
+    # the eigenvalue solve needs only the factors; the dump alone forms the matrix
+    calls = []
+    product = nystrom.kernel_column
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(nystrom, "kernel_column", counted)
+    dump = tmp_path / "A.txt"
+    argv = ["compute", "--r", "2", "--n", "2..3", "--m", "31", "--out", str(tmp_path / "rows.csv"),
+            "--dump-matrix", str(dump)]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    # the bytes the dense assembly wrote before the matrix-free solve
+    digest = "4f842ac70c073add7b0607af81dc6c14d2b6d2f5c3fb0a2b15d345134a5b87e8"
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+def test_full_spectrum_compute_matches_dense_oracle(capsys):
+    # count == m is the one eigenvalue solve left on the dense path
+    assert main(["compute", "--r", "1", "--n", "1..3", "--m", "3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    unit = Interval(0.0, 1.0)
+    ref = dense_top_eigenvalues(assemble(Kernel(1, unit), build_grid(unit, 3)).matrix, 3)
+    np.testing.assert_allclose([row["d_n"] for row in rows], np.sqrt(ref), rtol=64 * EPS, atol=0)
+
+
+@pytest.mark.parametrize("error", [
+    scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0))),
+    scipy.sparse.linalg.ArpackError(-9999),
+], ids=["no-convergence", "error"])
+def test_arpack_failure_is_a_numerical_failure(error, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    assert main(["compute", "--r", "2", "--n", "2..4", "--m", "63"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "iteration budget" in err
+    assert "Traceback" not in err
 
 
 def test_knots_csv(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,13 +17,27 @@ from nwidth import (
 )
 from nwidth.nystrom import NystromSystem
 
-from oracles import discrete_sine_eigenvalue, jacobi_eigh
+from oracles import dense_top_eigenvalues, discrete_sine_eigenvalue, jacobi_eigh
 
 UNIT = Interval(0.0, 1.0)
+EPS = np.finfo(float).eps
+ALL_R = range(1, 21)
+ORACLE_MESHES = [7, 64, 511, 2047]
 
 
 def system_for(r, m, interval=UNIT):
     return assemble(Kernel(r, interval), build_grid(interval, m))
+
+
+def diagonal_system(d):
+    """A system whose matrix is diag(d) / (m+1)^2, built from the factors X = I, Y = diag(d)."""
+    m = len(d)
+    return NystromSystem(kernel=Kernel(1, UNIT), grid=build_grid(UNIT, m), X=np.eye(m), Y=np.diag(d))
+
+
+@functools.lru_cache(maxsize=None)
+def dense_top6(r, m):
+    return dense_top_eigenvalues(system_for(r, m).matrix, min(6, m - 1))
 
 
 def test_single_node_system():
@@ -55,7 +70,7 @@ def test_matches_jacobi_oracle(r):
 def test_full_spectrum_request_allowed():
     system = system_for(2, 24)
     lam = top_eigenvalues(system, 24)
-    ref = np.linalg.eigvalsh(system.matrix)[::-1]
+    ref = dense_top_eigenvalues(system.matrix, 24)
     np.testing.assert_allclose(lam, ref, rtol=1e-12)
     pairs = top_eigenpairs(system, 24)
     assert len(pairs) == 24
@@ -100,17 +115,40 @@ def test_sign_change_counts():
 
 
 def test_tie_detection_raises():
-    grid = build_grid(UNIT, 3)
-    fake = NystromSystem(kernel=Kernel(1, UNIT), grid=grid, matrix=np.diag([1.0, 1.0, 0.5]))
+    fake = diagonal_system([1.0, 1.0, 0.5])
     with pytest.raises(NumericalError):
         top_eigenpairs(fake, 3)
 
 
 def test_nonpositive_eigenvalue_raises():
-    grid = build_grid(UNIT, 3)
-    fake = NystromSystem(kernel=Kernel(1, UNIT), grid=grid, matrix=np.diag([1.0, 0.5, -0.25]))
+    fake = diagonal_system([1.0, 0.5, -0.25])
     with pytest.raises(NumericalError):
         top_eigenpairs(fake, 3)
+
+
+@pytest.mark.parametrize("m", ORACLE_MESHES)
+def test_top_eigenvalues_match_dense_oracle_at_every_rank(m):
+    # every rank is checked: a start vector of one mirror parity would span
+    # only that parity's eigenvectors and skip every other rank
+    for r in ALL_R:
+        ref = dense_top6(r, m)
+        lam = top_eigenvalues(system_for(r, m), len(ref))
+        assert np.abs(lam - ref).max() <= 64 * EPS * ref[0], f"r={r}"
+
+
+@pytest.mark.parametrize("m", ORACLE_MESHES)
+def test_operator_matches_the_matrix_product(m):
+    rng = np.random.default_rng(m)
+    for r in ALL_R:
+        system = system_for(r, m)
+        x = rng.standard_normal(m)
+        err = np.linalg.norm(system.matvec(x) - system.matrix @ x)
+        assert err <= 8 * EPS * dense_top6(r, m)[0] * np.linalg.norm(x), f"r={r}"
+
+
+def test_repeated_solves_are_bitwise_equal():
+    first = top_eigenvalues(system_for(4, 511), 6)
+    assert np.array_equal(top_eigenvalues(system_for(4, 511), 6), first)
 
 
 def test_eigenfunction_values_padding():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nwidth import Interval, Kernel, ValidationError, kernel_eval
-from nwidth.kernel import kernel_column
+from nwidth.kernel import kernel_column, kernel_factors
 
 from oracles import KnotVector, bspline_eval, factorial_scale, greens_bvp, kernel_r1, kernel_r2
 
@@ -95,7 +95,7 @@ def test_column_path_matches_general_bspline_path():
         k = Kernel(r, iv)
         y = 0.37
         xs = np.sort(rng.uniform(-1.0, y, size=50))
-        fast = kernel_column(k, y, xs)
+        fast = kernel_column(*kernel_factors(k, xs, y))
         knots = KnotVector((iv.a,) * r + (y,) + (iv.b,) * r)
         scale = factorial_scale(r, y, iv)
         slow = np.array([scale * bspline_eval(knots, float(x)) for x in xs])
