@@ -65,11 +65,7 @@ class NystromSystem:
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """The m x m matrix, symmetric, entries h * g(t_k, t_l) > 0; formed once, on first use.
-
-        The upper triangle of the product, scaled by step twice and
-        mirrored, so the matrix is exactly symmetric.
-        """
+        """The m x m matrix, formed on first use; mirrored, so exactly symmetric."""
         step = self.step
         A = np.triu(kernel_column(self.X, self.Y))
         A *= step

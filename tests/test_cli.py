@@ -243,7 +243,7 @@ def test_dump_matrix_forms_the_matrix_once(tmp_path, monkeypatch):
             "--dump-matrix", str(dump)]
     assert main(argv) == 0
     assert len(calls) == 1
-    # the bytes the dense assembly wrote before the matrix-free solve
+    # the dump of the matrix assembled in one piece, reproduced byte for byte
     digest = "4f842ac70c073add7b0607af81dc6c14d2b6d2f5c3fb0a2b15d345134a5b87e8"
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 

@@ -70,7 +70,7 @@ def test_matches_jacobi_oracle(r):
 def test_full_spectrum_request_allowed():
     system = system_for(2, 24)
     lam = top_eigenvalues(system, 24)
-    ref = dense_top_eigenvalues(system.matrix, 24)
+    ref = np.linalg.eigvalsh(system.matrix)[::-1]
     np.testing.assert_allclose(lam, ref, rtol=1e-12)
     pairs = top_eigenpairs(system, 24)
     assert len(pairs) == 24
@@ -128,8 +128,8 @@ def test_nonpositive_eigenvalue_raises():
 
 @pytest.mark.parametrize("m", ORACLE_MESHES)
 def test_top_eigenvalues_match_dense_oracle_at_every_rank(m):
-    # every rank is checked: a start vector of one mirror parity would span
-    # only that parity's eigenvectors and skip every other rank
+    # every rank is checked, so a solve that sees only the eigenvectors of one
+    # mirror parity (every other rank) fails here
     for r in ALL_R:
         ref = dense_top6(r, m)
         lam = top_eigenvalues(system_for(r, m), len(ref))
