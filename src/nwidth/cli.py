@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: compute, conjecture-table, convergence, knots, eigenfunctions.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error, 2 numerical failure (running out of
+memory included).
 """
 
 from __future__ import annotations
@@ -355,6 +356,10 @@ def run(config: RunConfig) -> int:
         return 1
     except NumericalError as exc:
         print(f"nwidth: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"nwidth: numerical failure: the problem does not fit in memory{detail}", file=sys.stderr)
         return 2
     return 0
 

@@ -3,22 +3,20 @@
 Nothing here reads the interval: `nwidths.dn_from_eigenvalue` scales the
 eigenvalues to [a, b], and the eigenvectors are the same on every interval.
 
-Eigenvalues alone (`top_eigenvalues`, which serves the n-width rows, the
-conjecture table and the convergence studies) come from ARPACK's
-implicitly restarted Lanczos method (Lehoucq, Sorensen and Yang, *ARPACK
-Users' Guide*, 1998) through scipy, on the O(m r) product of
-`NystromSystem.matvec`: no m x m array is formed.  It starts from a fixed
-seeded vector, so the same system gives bitwise the same values.  Only a
-request for all m eigenvalues, which ARPACK does not serve, goes to the
-dense solver.
+Eigenvalues and eigenpairs come from one solver: ARPACK's implicitly
+restarted Lanczos method (Lehoucq, Sorensen and Yang, *ARPACK Users'
+Guide*, 1998) through scipy, on the O(m r) product of
+`NystromSystem.matvec`, so no m x m array is formed.  It starts from a
+fixed seeded vector, so the same system gives bitwise the same result.
+Only a request for all m eigenvalues, which ARPACK does not serve, goes
+to LAPACK's dense symmetric solver on the formed matrix.
 
-Eigenpairs (`top_eigenpairs`) come from LAPACK's dense symmetric solver
-(tridiagonalization plus implicit-shift iteration) on the formed matrix.
-Their enforced contract is: strictly descending positive simple
-eigenvalues, per-pair residuals below RESIDUAL_TOL times the Frobenius
-norm, pairwise near-orthogonality, max-norm normalized vectors with a
-positive leading entry.  A solve that exhausts either solver's iteration
-budget raises NumericalError instead of returning silently.
+`top_eigenvalues` returns the raw values.  `top_eigenpairs` enforces its
+contract: strictly descending positive simple eigenvalues, per-pair
+residuals below RESIDUAL_TOL times lambda_1 (the 2-norm of the matrix),
+pairwise near-orthogonality, max-norm normalized vectors with a positive
+leading entry.  A solve that exhausts the solver's iteration budget
+raises NumericalError instead of returning silently.
 
 Every pair carries an a-posteriori bound on the error of its samples
 against the eigenvector of the exact [0, 1] collocation matrix: the
@@ -50,8 +48,8 @@ GAP_MARGIN = 16.0
 #: A model, not a proof, calibrated against the double-double matrix of
 #: `nwidth.extended`.  Every interval is solved on the one [0, 1] matrix of
 #: its (r, m); over r = 1..20, m = 240, 500, 1000, 2047 and ranks 1..8
-#: every float64 sample lay within 0.456 of its bound of the refined one
-#: (largest at r = 14, m = 2047, rank 3).
+#: every float64 sample of the Lanczos pairs lay within 0.294 of its bound
+#: of the refined one (largest at r = 20, m = 240, rank 3).
 ASSEMBLY_ROUNDING = 0.25
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -93,16 +91,24 @@ def sample_error_bound(
     return (max(residual, _EPS * lam1 * norm) + rounding * (theta + above) * norm) / gap
 
 
-def _solve_subset(A: np.ndarray, count: int, vectors: bool):
-    m = A.shape[0]
+def _solve(system: NystromSystem, count: int, vectors: bool):
+    """The `count` largest eigenvalues, descending, and their vectors if asked for (else None)."""
+    m = system.grid.m
     try:
-        if vectors:
-            w, v = scipy.linalg.eigh(A, subset_by_index=(m - count, m - 1))
-            return w[::-1], v[:, ::-1]
-        w = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(m - count, m - 1))
-        return w[::-1], None
-    except scipy.linalg.LinAlgError as exc:
+        if count == m:  # ARPACK serves at most m - 1 eigenpairs
+            result = scipy.linalg.eigh(system.matrix, eigvals_only=not vectors, subset_by_index=(0, m - 1))
+        else:
+            op = scipy.sparse.linalg.LinearOperator((m, m), matvec=system.matvec, dtype=float)
+            # a fixed generic start: the result does not depend on earlier solves, and in
+            # exact arithmetic a mirror-symmetric start would miss every other eigenvector
+            v0 = np.random.default_rng(0).standard_normal(m)
+            result = scipy.sparse.linalg.eigsh(op, k=count, which="LA", tol=0, v0=v0,
+                                               return_eigenvectors=vectors)
+    except (scipy.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:  # ArpackNoConvergence too
         raise NumericalError(f"eigensolver did not converge within its iteration budget: {exc}") from exc
+    w, v = result if vectors else (result, None)
+    order = np.argsort(w)[::-1]
+    return w[order], None if v is None else v[:, order]
 
 
 def top_eigenvalues(system: NystromSystem, count: int) -> np.ndarray:
@@ -114,28 +120,16 @@ def top_eigenvalues(system: NystromSystem, count: int) -> np.ndarray:
     m = system.grid.m
     if not 1 <= count <= m:
         raise ValidationError(f"count must be in [1, {m}], got {count}")
-    if count == m:
-        # ARPACK serves at most m - 1 eigenvalues
-        return _solve_subset(system.matrix, count, vectors=False)[0]
-    op = scipy.sparse.linalg.LinearOperator((m, m), matvec=system.matvec, dtype=float)
-    # a fixed generic start: the result does not depend on earlier solves, and in
-    # exact arithmetic a mirror-symmetric start would miss every other eigenvector
-    v0 = np.random.default_rng(0).standard_normal(m)
-    try:
-        w = scipy.sparse.linalg.eigsh(op, k=count, which="LA", tol=0, v0=v0, return_eigenvectors=False)
-    except (scipy.sparse.linalg.ArpackNoConvergence, scipy.sparse.linalg.ArpackError) as exc:
-        raise NumericalError(f"eigensolver did not converge within its iteration budget: {exc}") from exc
-    return np.sort(w)[::-1]
+    return _solve(system, count, vectors=False)[0]
 
 
 def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:
     """The `count` largest eigenpairs of the [0, 1] matrix, by strictly descending eigenvalue."""
-    A = system.matrix
-    m = A.shape[0]
+    m = system.grid.m
     if not 1 <= count <= m:
         raise ValidationError(f"count must be in [1, {m}], got {count}")
     # one pair beyond the request gives the last pair's lower gap
-    w, v = _solve_subset(A, min(count + 1, m), vectors=True)
+    w, v = _solve(system, min(count + 1, m), vectors=True)
 
     for k in range(count):
         if w[k] <= 0:
@@ -154,8 +148,8 @@ def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:
     for k in range(count):
         if V[np.flatnonzero(V[:, k])[0], k] < 0:
             V[:, k] = -V[:, k]
-    residuals = np.linalg.norm(A @ V - V * w[:count], axis=0)
-    limit = RESIDUAL_TOL * np.linalg.norm(A, "fro")
+    residuals = np.array([np.linalg.norm(system.matvec(V[:, k]) - w[k] * V[:, k]) for k in range(count)])
+    limit = RESIDUAL_TOL * w[0]
     worst = residuals.max()
     if worst > limit:
         raise NumericalError(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")

@@ -3,7 +3,8 @@
 Everything here is deliberately written apart from the package code
 paths: a Jacobi-rotation eigensolver, a Cox-de Boor evaluator of a
 single B-spline, the de Boor form of the kernel and its collocation
-matrix, LAPACK's dense symmetric eigensolver, closed-form kernels, a
+matrix, LAPACK's dense symmetric eigensolver (eigenvalues, and
+eigenpairs with their sample error bounds), closed-form kernels, a
 piecewise-polynomial construction of the Green's function, the exact
 eigenvalues of the r=1 collocation matrix, continuum eigenfrequency
 references for r in {2, 3, 4}, and two mpmath references: a continuum
@@ -224,6 +225,47 @@ def dense_top_eigenvalues(A, count):
     """The `count` largest eigenvalues of a symmetric matrix, descending, by LAPACK's dense solver."""
     m = A.shape[0]
     return scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(m - count, m - 1))[::-1]
+
+
+def dense_top_eigenpairs(A, count, r):
+    """The `count` largest eigenpairs of the [0, 1] matrix A of order r, by LAPACK's dense solver.
+
+    The dense form of `nwidth.eigensolver.top_eigenpairs`: the same
+    normalization, sign, checks and sample error bound (the package's
+    `sample_error_bound`), with residuals from the formed product A @ V
+    and their limit RESIDUAL_TOL times the Frobenius norm of A.  Raises
+    ValueError where the package raises NumericalError.
+    """
+    from nwidth.eigensolver import (
+        ASSEMBLY_ROUNDING, ORTHO_TOL, RESIDUAL_TOL, TIE_REL_TOL, Eigenpair, sample_error_bound,
+    )
+
+    m = A.shape[0]
+    solved = min(count + 1, m)  # one pair beyond the request gives the last pair's lower gap
+    w, v = scipy.linalg.eigh(A, subset_by_index=(m - solved, m - 1))
+    w, v = w[::-1], v[:, ::-1]
+    if not (np.all(w[:count] > 0) and np.all(np.diff(w[:count]) < -TIE_REL_TOL * w[: count - 1])):
+        raise ValueError("nonpositive or tied eigenvalues")
+    V = v[:, :count] / np.abs(v[:, :count]).max(axis=0)
+    for k in range(count):
+        if V[np.flatnonzero(V[:, k])[0], k] < 0:
+            V[:, k] = -V[:, k]
+    residuals = np.linalg.norm(A @ V - V * w[:count], axis=0)
+    if residuals.max() > RESIDUAL_TOL * np.linalg.norm(A, "fro"):
+        raise ValueError(f"eigenpair residual {residuals.max():.3e}")
+    norms = np.linalg.norm(V, axis=0)
+    gram = (V / norms).T @ (V / norms)
+    off = np.abs(gram - np.diag(np.diag(gram))).max() if count > 1 else 0.0
+    if off > ORTHO_TOL:
+        raise ValueError(f"eigenvectors lost orthogonality: {off:.3e}")
+    rounding = ASSEMBLY_ROUNDING * (r + 3) * np.finfo(float).eps
+    pairs = []
+    for k in range(count):
+        gap = min(np.abs(np.delete(w, k) - w[k]), default=w[0])
+        above = w[k - 1] if k else w[0]
+        bound = sample_error_bound(residuals[k], norms[k], gap, w[0], w[k], above, rounding)
+        pairs.append(Eigenpair(index=k + 1, value=float(w[k]), vector=V[:, k], error_bound=bound))
+    return pairs
 
 
 def kernel_r1(a, b, x, y):

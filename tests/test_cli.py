@@ -228,8 +228,8 @@ def test_dump_matrix(tmp_path):
     assert A[1, 2] == expected
 
 
-def test_dump_matrix_forms_the_matrix_once(tmp_path, monkeypatch):
-    # the eigenvalue solve needs only the factors; the dump alone forms the matrix
+def counting_kernel_column(monkeypatch):
+    """Calls of the m x m product, recorded by replacing it in `nwidth.nystrom`."""
     calls = []
     product = nystrom.kernel_column
 
@@ -238,6 +238,12 @@ def test_dump_matrix_forms_the_matrix_once(tmp_path, monkeypatch):
         return product(*args)
 
     monkeypatch.setattr(nystrom, "kernel_column", counted)
+    return calls
+
+
+def test_dump_matrix_forms_the_matrix_once(tmp_path, monkeypatch):
+    # the eigenvalue solve needs only the factors; the dump alone forms the matrix
+    calls = counting_kernel_column(monkeypatch)
     dump = tmp_path / "A.txt"
     argv = ["compute", "--r", "2", "--n", "2..3", "--m", "31", "--out", str(tmp_path / "rows.csv"),
             "--dump-matrix", str(dump)]
@@ -246,6 +252,35 @@ def test_dump_matrix_forms_the_matrix_once(tmp_path, monkeypatch):
     # the dump of the matrix assembled in one piece, reproduced byte for byte
     digest = "4f842ac70c073add7b0607af81dc6c14d2b6d2f5c3fb0a2b15d345134a5b87e8"
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["knots", "eigenfunctions"])
+def test_eigenpair_commands_form_no_matrix(command, tmp_path, monkeypatch):
+    calls = counting_kernel_column(monkeypatch)
+    argv = [command, "--r", "3", "--k", "1..4", "--m", "127", "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert calls == []
+
+
+def test_knots_on_a_mesh_whose_matrix_does_not_fit_in_memory(capsys):
+    # the m x m matrix of m = 65535 would take 32 GiB
+    assert main(["knots", "--r", "3", "--k", "1..6", "--m", "65535"]) == 0
+    zeros = [float(line.split(",")[3]) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(zeros) == 15
+    assert all(0 < z < 1 for z in zeros)
+
+
+def test_out_of_memory_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise MemoryError("Unable to allocate 32.0 GiB for an array with shape (65535, 65535)")
+
+    monkeypatch.setattr(nystrom, "kernel_column", fail)
+    argv = ["compute", "--r", "3", "--n", "3..4", "--m", "63", "--dump-matrix", str(tmp_path / "A.txt")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "does not fit in memory" in err
+    assert "Traceback" not in err
 
 
 def test_full_spectrum_compute_matches_dense_oracle(capsys):
@@ -266,11 +301,13 @@ def test_arpack_failure_is_a_numerical_failure(error, monkeypatch, capsys):
         raise error
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    assert main(["compute", "--r", "2", "--n", "2..4", "--m", "63"]) == 2
-    err = capsys.readouterr().err
-    assert "numerical failure" in err
-    assert "iteration budget" in err
-    assert "Traceback" not in err
+    for argv in (["compute", "--r", "2", "--n", "2..4", "--m", "63"],
+                 ["knots", "--r", "2", "--k", "1..3", "--m", "63"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "iteration budget" in err
+        assert "Traceback" not in err
 
 
 def test_knots_csv(tmp_path):

@@ -17,12 +17,13 @@ from nwidth import (
 )
 from nwidth.nystrom import NystromSystem
 
-from oracles import dense_top_eigenvalues, discrete_sine_eigenvalue, jacobi_eigh
+from oracles import dense_top_eigenpairs, dense_top_eigenvalues, discrete_sine_eigenvalue, jacobi_eigh
 
 UNIT = Interval(0.0, 1.0)
 EPS = np.finfo(float).eps
 ALL_R = range(1, 21)
 ORACLE_MESHES = [7, 64, 511, 2047]
+PAIR_MESHES = [64, 511, 2047]
 
 
 def system_for(r, m, interval=UNIT):
@@ -146,9 +147,40 @@ def test_operator_matches_the_matrix_product(m):
         assert err <= 8 * EPS * dense_top6(r, m)[0] * np.linalg.norm(x), f"r={r}"
 
 
+def admitted_dense_pairs(r, m, most=8):
+    """The oracle's pairs of every rank up to `most` that its tie and sign checks admit."""
+    A = system_for(r, m).matrix
+    for count in range(most, 0, -1):
+        try:
+            return dense_top_eigenpairs(A, count, r)
+        except ValueError:
+            continue
+    raise AssertionError(f"no rank admitted for r={r}, m={m}")
+
+
+@pytest.mark.parametrize("m", PAIR_MESHES)
+def test_top_eigenpairs_match_dense_oracle_within_their_bounds(m):
+    for r in ALL_R:
+        ref = admitted_dense_pairs(r, m)
+        pairs = top_eigenpairs(system_for(r, m), len(ref))
+        lam1 = ref[0].value
+        for pair, dense in zip(pairs, ref):
+            assert abs(pair.value - dense.value) <= 64 * EPS * lam1, f"r={r}, rank {pair.index}"
+            # where the leading sample lies below the bound its sign is rounding
+            # noise, so either solver may orient the vector either way
+            sign = 1.0 if pair.vector @ dense.vector > 0 else -1.0
+            err = np.abs(pair.vector - sign * dense.vector).max()
+            assert err <= pair.error_bound + dense.error_bound, f"r={r}, rank {pair.index}"
+
+
 def test_repeated_solves_are_bitwise_equal():
     first = top_eigenvalues(system_for(4, 511), 6)
     assert np.array_equal(top_eigenvalues(system_for(4, 511), 6), first)
+    first_pairs = top_eigenpairs(system_for(4, 511), 6)
+    for pair, again in zip(first_pairs, top_eigenpairs(system_for(4, 511), 6)):
+        assert pair.value == again.value
+        assert np.array_equal(pair.vector, again.vector)
+        assert pair.error_bound == again.error_bound
 
 
 def test_eigenfunction_values_padding():

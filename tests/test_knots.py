@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -18,6 +19,7 @@ from nwidth import (
 from nwidth.knots import curve_csv
 
 UNIT = Interval(0.0, 1.0)
+EPS = np.finfo(float).eps
 
 
 def pairs_for(r, m, count, interval=UNIT):
@@ -77,6 +79,22 @@ def test_zeros_symmetric_about_midpoint():
     report = extract_knots(pairs[3], grid, r=2)
     assert report.zeros.size == 3
     np.testing.assert_allclose(report.zeros, -report.zeros[::-1], atol=1e-8)
+
+
+def test_mirror_symmetric_samples_give_mirror_symmetric_knots():
+    # the knot refinement keeps the mirror symmetry of its samples: what is left
+    # of the knots' asymmetry on [-c, c] is that of the float64 eigenvectors
+    for r in range(1, 7):
+        for m in (31, 64, 127):
+            _, pairs = pairs_for(r, m, 6)
+            for c in (1e-3, 0.37, 1.0, 2.9, 61.0, 500.0):
+                grid = build_grid(Interval(-c, c), m)
+                for pair in pairs[1:]:
+                    parity = (-1) ** (pair.index - 1)
+                    mirrored = (pair.vector + parity * pair.vector[::-1]) / 2
+                    symmetric = dataclasses.replace(pair, vector=mirrored)
+                    zeros = extract_knots(symmetric, grid, r=r).zeros
+                    assert np.abs(zeros + zeros[::-1]).max() <= 4 * EPS * 2 * c, (r, m, c, pair.index)
 
 
 def test_mesh_halving_stability():
