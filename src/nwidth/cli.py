@@ -1,8 +1,7 @@
 """Command-line entry point.
 
 Subcommands: compute, conjecture-table, convergence, knots, eigenfunctions.
-Exit codes: 0 success, 1 validation error, 2 numerical failure (running out of
-memory included).
+Exit codes: 0 success, 1 validation error, 2 numerical failure or out of memory.
 """
 
 from __future__ import annotations

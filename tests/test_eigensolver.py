@@ -148,7 +148,7 @@ def test_operator_matches_the_matrix_product(m):
 
 
 def admitted_dense_pairs(r, m, most=8):
-    """The oracle's pairs of every rank up to `most` that its tie and sign checks admit."""
+    """The oracle's pairs of every rank up to `most` that its positivity and tie checks admit."""
     A = system_for(r, m).matrix
     for count in range(most, 0, -1):
         try:
