@@ -14,9 +14,10 @@ to LAPACK's dense symmetric solver on the formed matrix.
 `top_eigenvalues` returns the raw values.  `top_eigenpairs` enforces its
 contract: strictly descending positive simple eigenvalues, per-pair
 residuals below RESIDUAL_TOL times lambda_1 (the 2-norm of the matrix),
-pairwise near-orthogonality, max-norm normalized vectors with a positive
-leading entry.  A solve that exhausts the solver's iteration budget
-raises NumericalError instead of returning silently.
+pairwise near-orthogonality, max-norm normalized vectors whose first
+sample above the pair's error bound is positive.  A solve that exhausts
+the solver's iteration budget raises NumericalError instead of returning
+silently.
 
 Every pair carries an a-posteriori bound on the error of its samples
 against the eigenvector of the exact [0, 1] collocation matrix: the
@@ -111,6 +112,18 @@ def _solve(system: NystromSystem, count: int, vectors: bool):
     return w[order], None if v is None else v[:, order]
 
 
+def oriented(vector: np.ndarray, bound: float) -> np.ndarray:
+    """A copy of `vector` whose first sample above `bound` in magnitude is positive.
+
+    Samples within the bound have no certain sign; at high r the leading
+    ones are rounding noise.  A vector with no sample above the bound is
+    oriented by its largest sample.
+    """
+    certain = np.abs(vector) > bound
+    lead = np.argmax(certain) if certain.any() else np.argmax(np.abs(vector))
+    return -vector if vector[lead] < 0 else vector.copy()
+
+
 def top_eigenvalues(system: NystromSystem, count: int) -> np.ndarray:
     """The `count` largest eigenvalues of the [0, 1] matrix in descending order, unchecked.
 
@@ -145,9 +158,6 @@ def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:
             )
 
     V = v[:, :count] / np.abs(v[:, :count]).max(axis=0)
-    for k in range(count):
-        if V[np.flatnonzero(V[:, k])[0], k] < 0:
-            V[:, k] = -V[:, k]
     residuals = np.array([np.linalg.norm(system.matvec(V[:, k]) - w[k] * V[:, k]) for k in range(count)])
     limit = RESIDUAL_TOL * w[0]
     worst = residuals.max()
@@ -163,10 +173,10 @@ def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:
     pairs = []
     for k in range(count):
         gap = min(np.abs(np.delete(w, k) - w[k]), default=w[0])
-        vec = V[:, k].copy()
-        vec.setflags(write=False)
         above = w[k - 1] if k else w[0]
         bound = sample_error_bound(residuals[k], norms[k], gap, w[0], w[k], above, rounding)
+        vec = oriented(V[:, k], bound)
+        vec.setflags(write=False)
         pairs.append(Eigenpair(index=k + 1, value=float(w[k]), vector=vec, error_bound=bound))
     return pairs
 

@@ -1,8 +1,12 @@
 """Eigenfunction zeros: the interior knots of the optimal spline spaces.
 
 The rank-k eigenfunction changes sign exactly k-1 times inside the
-interval; those crossings are bracketed on the node samples and each one
-is polished on a local cubic interpolant.
+interval; those crossings are bracketed on the node samples, and each one
+is polished on the cubic through its four nearest samples by Newton's
+method safeguarded with bisection (`_cubic_root`), which stops only when
+the cubic is exactly zero or the iterate no longer moves: the zero of the
+cubic to float64 precision, so the only tolerance left is that of the
+samples.
 
 A sample has a certain sign only if it lies farther from zero than the
 eigenpair's sample error bound.  The eigenfunction vanishes to order r
@@ -27,7 +31,6 @@ from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._io import write_rows
 from .errors import NumericalError, ValidationError
@@ -97,21 +100,56 @@ def _brackets(vals: np.ndarray, m: int, threshold: float) -> list[tuple[int, int
     return brackets
 
 
-def _refine(nodes: np.ndarray, vals: np.ndarray, ilo: int, ihi: int, tol: float) -> float:
-    # cubic through the 4 nearest samples, in units of the mesh size
+def _cubic_root(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float) -> float:
+    """The zero of c3 u^3 + c2 u^2 + c1 u + c0 in its sign-change bracket [lo, hi].
+
+    Safeguarded Newton from the midpoint: each iterate replaces the bracket
+    end whose value has its sign, and a Newton step that would leave the
+    bracket, or a vanishing derivative, bisects instead.  The search ends
+    when the cubic is exactly zero, when a Newton step no longer moves the
+    iterate, or when the bracket is two adjacent floats: full float64
+    precision, not a tolerance.  Raises NumericalError unless the cubic's
+    end values are nonzero and of opposite signs.
+    """
+
+    def f(u: float) -> float:
+        return ((c3 * u + c2) * u + c1) * u + c0
+
+    f_lo = f(lo)
+    if f_lo * f(hi) >= 0:
+        raise NumericalError("sign-change bracket lost during refinement; mesh under-resolved")
+    neg_lo = f_lo < 0.0
+    x = 0.5 * (lo + hi)
+    while True:
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == neg_lo:
+            lo = x
+        else:
+            hi = x
+        slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
+        if slope != 0.0:
+            step = x - fx / slope
+            if step == x:
+                return x
+            if lo < step < hi:
+                x = step
+                continue
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            return x
+
+
+def _refine(nodes: np.ndarray, vals: np.ndarray, ilo: int, ihi: int) -> float:
+    # cubic through the 4 nearest samples, in units of the mesh size, solved
+    # to full precision on its sign-change bracket by `_cubic_root`
     lo = min(max(ilo - 1, 0), len(nodes) - 4)
     gh = nodes[1] - nodes[0]
     u = (nodes[lo : lo + 4] - nodes[ilo]) / gh
-    coeffs = np.polyfit(u, vals[lo : lo + 4], 3)
-
-    def f(uu: float) -> float:
-        return float(np.polyval(coeffs, uu))
-
-    ulo, uhi = 0.0, float((nodes[ihi] - nodes[ilo]) / gh)
-    if f(ulo) * f(uhi) >= 0:
-        raise NumericalError("sign-change bracket lost during refinement; mesh under-resolved")
-    root = brentq(f, ulo, uhi, xtol=max(tol / gh, 1e-15), rtol=8 * np.finfo(float).eps)
-    return float(nodes[ilo] + gh * root)
+    c3, c2, c1, c0 = (float(c) for c in np.polyfit(u, vals[lo : lo + 4], 3))
+    uhi = float((nodes[ihi] - nodes[ilo]) / gh)
+    return float(nodes[ilo] + gh * _cubic_root(c3, c2, c1, c0, 0.0, uhi))
 
 
 def _zeros(pair: Eigenpair, grid: Grid, tol: float) -> tuple[np.ndarray, float]:
@@ -133,7 +171,7 @@ def _zeros(pair: Eigenpair, grid: Grid, tol: float) -> tuple[np.ndarray, float]:
             f"estimated zero error {error:.1e} exceeds the tolerance {tol:.1e}",
             "the tolerance is finer than the samples resolve",
         )
-    return np.array([_refine(nodes, vals, i, j, tol) for i, j in brackets]), float(error)
+    return np.array([_refine(nodes, vals, i, j) for i, j in brackets]), float(error)
 
 
 @lru_cache(maxsize=1)

@@ -4,8 +4,9 @@ Everything here is deliberately written apart from the package code
 paths: a Jacobi-rotation eigensolver, a Cox-de Boor evaluator of a
 single B-spline, the de Boor form of the kernel and its collocation
 matrix, LAPACK's dense symmetric eigensolver (eigenvalues, and
-eigenpairs with their sample error bounds), closed-form kernels, a
-piecewise-polynomial construction of the Green's function, the exact
+eigenpairs with their sample error bounds), scipy's brentq polish of a
+knot on its local cubic, closed-form kernels, a piecewise-polynomial
+construction of the Green's function, the exact
 eigenvalues of the r=1 collocation matrix, continuum eigenfrequency
 references for r in {2, 3, 4}, and two mpmath references: a continuum
 eigenfrequency solver for any r and extended-precision Ritz values of
@@ -231,13 +232,14 @@ def dense_top_eigenpairs(A, count, r):
     """The `count` largest eigenpairs of the [0, 1] matrix A of order r, by LAPACK's dense solver.
 
     The dense form of `nwidth.eigensolver.top_eigenpairs`: the same
-    normalization, sign, checks and sample error bound (the package's
-    `sample_error_bound`), with residuals from the formed product A @ V
-    and their limit RESIDUAL_TOL times the Frobenius norm of A.  Raises
-    ValueError where the package raises NumericalError.
+    normalization, checks, sample error bound and orientation (the
+    package's `sample_error_bound` and `oriented`), with residuals from
+    the formed product A @ V and their limit RESIDUAL_TOL times the
+    Frobenius norm of A.  Raises ValueError where the package raises
+    NumericalError.
     """
     from nwidth.eigensolver import (
-        ASSEMBLY_ROUNDING, ORTHO_TOL, RESIDUAL_TOL, TIE_REL_TOL, Eigenpair, sample_error_bound,
+        ASSEMBLY_ROUNDING, ORTHO_TOL, RESIDUAL_TOL, TIE_REL_TOL, Eigenpair, oriented, sample_error_bound,
     )
 
     m = A.shape[0]
@@ -247,9 +249,6 @@ def dense_top_eigenpairs(A, count, r):
     if not (np.all(w[:count] > 0) and np.all(np.diff(w[:count]) < -TIE_REL_TOL * w[: count - 1])):
         raise ValueError("nonpositive or tied eigenvalues")
     V = v[:, :count] / np.abs(v[:, :count]).max(axis=0)
-    for k in range(count):
-        if V[np.flatnonzero(V[:, k])[0], k] < 0:
-            V[:, k] = -V[:, k]
     residuals = np.linalg.norm(A @ V - V * w[:count], axis=0)
     if residuals.max() > RESIDUAL_TOL * np.linalg.norm(A, "fro"):
         raise ValueError(f"eigenpair residual {residuals.max():.3e}")
@@ -264,8 +263,39 @@ def dense_top_eigenpairs(A, count, r):
         gap = min(np.abs(np.delete(w, k) - w[k]), default=w[0])
         above = w[k - 1] if k else w[0]
         bound = sample_error_bound(residuals[k], norms[k], gap, w[0], w[k], above, rounding)
-        pairs.append(Eigenpair(index=k + 1, value=float(w[k]), vector=V[:, k], error_bound=bound))
+        pairs.append(Eigenpair(index=k + 1, value=float(w[k]), vector=oriented(V[:, k], bound),
+                               error_bound=bound))
     return pairs
+
+
+def local_cubic(nodes, vals, ilo, ihi):
+    """The cubic on which `nwidth.knots._refine` polishes the zero of the bracket (ilo, ihi).
+
+    It interpolates the 4 samples nearest the bracket, in units u of the
+    mesh size from nodes[ilo].  Returns its coefficients, highest first,
+    and the bracket's other end uhi (1 or 2).
+    """
+    lo = min(max(ilo - 1, 0), len(nodes) - 4)
+    gh = nodes[1] - nodes[0]
+    u = (nodes[lo : lo + 4] - nodes[ilo]) / gh
+    return np.polyfit(u, vals[lo : lo + 4], 3), float((nodes[ihi] - nodes[ilo]) / gh)
+
+
+def brentq_cubic_root(coeffs, uhi, xtol=1e-300, rtol=4 * np.finfo(float).eps):
+    """scipy's brentq on the cubic `coeffs` over [0, uhi]; by default to its finest stop."""
+    return brentq(lambda u: float(np.polyval(coeffs, u)), 0.0, uhi, xtol=xtol, rtol=rtol)
+
+
+def brentq_refine(nodes, vals, ilo, ihi, tol):
+    """The knot polish `nwidth.knots` used before its Newton-bisection.
+
+    brentq on `local_cubic`, stopped at xtol = tol / gh (floored at 1e-15)
+    and rtol = 8 eps.  Returns the zero in the coordinates of `nodes`.
+    """
+    coeffs, uhi = local_cubic(nodes, vals, ilo, ihi)
+    gh = nodes[1] - nodes[0]
+    root = brentq_cubic_root(coeffs, uhi, xtol=max(tol / gh, 1e-15), rtol=8 * np.finfo(float).eps)
+    return float(nodes[ilo] + gh * root)
 
 
 def kernel_r1(a, b, x, y):

@@ -2,7 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +166,41 @@ def test_identical_runs_are_bit_identical(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_row_does_not_depend_on_the_n_range(capsys):
+    rows = []
+    for n in ("4", "4..9", "4..12"):
+        assert main(["compute", "--r", "4", "--n", n]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[1])
+    assert rows[0] == rows[1] == rows[2]
+    assert rows[0].startswith("4,4,2047,")
+    assert rows[0].split(",")[4] == "7.8187073432059382"
+
+
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from nwidth.cli import main
+for argv in (
+    ["conjecture-table", "--m=63"],
+    ["knots", "--r=3", "--k=1..6"],
+    ["knots", "--r=10", "--k=21..22", "--interval=-1,1", "--m=500"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("nwidth.extended" in sys.modules)
+print(sorted(name for name in sys.modules if name.startswith("scipy.optimize")))
+"""
+
+
+def test_cli_runs_never_import_scipy_optimize():
+    # scipy.optimize would add about 0.15 s and 17 MiB to every start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    # the last argv refines its pairs in double-double, so that path ran too
+    assert done.stdout.split("\n")[:2] == ["True", "[]"]
 
 
 def _assert_rows_agree(csv_path, json_rows, count):

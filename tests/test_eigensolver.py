@@ -15,6 +15,7 @@ from nwidth import (
     top_eigenpairs,
     top_eigenvalues,
 )
+from nwidth.eigensolver import oriented
 from nwidth.nystrom import NystromSystem
 
 from oracles import dense_top_eigenpairs, dense_top_eigenvalues, discrete_sine_eigenvalue, jacobi_eigh
@@ -97,7 +98,8 @@ def test_pair_contract_residual_orthogonality_normalization():
     for p in pairs:
         v = p.vector
         assert np.abs(v).max() == 1.0
-        assert v[np.flatnonzero(v)[0]] > 0
+        assert v[np.flatnonzero(np.abs(v) > p.error_bound)[0]] > 0
+        assert v[np.flatnonzero(v)[0]] > 0  # at r=2 the leading sample lies above the bound
         assert np.linalg.norm(A @ v - p.value * v) <= 1e-10 * fro
     for i in range(8):
         for j in range(i + 1, 8):
@@ -171,6 +173,25 @@ def test_top_eigenpairs_match_dense_oracle_within_their_bounds(m):
             sign = 1.0 if pair.vector @ dense.vector > 0 else -1.0
             err = np.abs(pair.vector - sign * dense.vector).max()
             assert err <= pair.error_bound + dense.error_bound, f"r={r}, rank {pair.index}"
+
+
+def test_high_r_pairs_are_oriented_like_the_dense_oracle():
+    # at r=20 the leading samples (about 1e-40) are rounding noise; both solvers
+    # orient by the first sample above the pair's bound, so they agree in sign
+    system = system_for(20, 511)
+    dense = dense_top_eigenpairs(system.matrix, 4, 20)
+    for pair, ref in zip(top_eigenpairs(system, 4), dense):
+        assert abs(pair.vector[0]) < pair.error_bound
+        assert pair.vector @ ref.vector > 0, f"rank {pair.index}"
+
+
+def test_orientation_by_the_first_sample_above_the_bound():
+    v = np.array([-1e-20, 3e-9, -0.5, 1.0])
+    np.testing.assert_array_equal(oriented(v, 1e-10), v)
+    np.testing.assert_array_equal(oriented(v, 1e-8), -v)
+    np.testing.assert_array_equal(oriented(v, 0.0), -v)
+    # no sample above the bound: the largest one decides
+    np.testing.assert_array_equal(oriented(-v, math.inf), v)
 
 
 def test_repeated_solves_are_bitwise_equal():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import math
 
@@ -13,10 +14,14 @@ from nwidth import (
     ValidationError,
     assemble,
     build_grid,
+    eigenfunction_values,
     extract_knots,
     top_eigenpairs,
 )
+from nwidth import knots
 from nwidth.knots import curve_csv
+
+from oracles import brentq_cubic_root, brentq_refine, local_cubic
 
 UNIT = Interval(0.0, 1.0)
 EPS = np.finfo(float).eps
@@ -95,6 +100,75 @@ def test_mirror_symmetric_samples_give_mirror_symmetric_knots():
                     symmetric = dataclasses.replace(pair, vector=mirrored)
                     zeros = extract_knots(symmetric, grid, r=r).zeros
                     assert np.abs(zeros + zeros[::-1]).max() <= 4 * EPS * 2 * c, (r, m, c, pair.index)
+
+
+@functools.lru_cache(maxsize=1)
+def polish_brackets():
+    """(nodes, samples, ilo, ihi) of every zero of ranks 2..8, r = 1..6, m = 63, 255, 2047 on [0, 1]."""
+    found = []
+    for r in range(1, 7):
+        for m in (63, 255, 2047):
+            grid, pairs = pairs_for(r, m, 8)
+            for pair in pairs[1:]:
+                vals = eigenfunction_values(pair, grid)
+                brackets = knots._brackets(vals, m, max(pair.error_bound, knots.ZERO_SAMPLE_TOL))
+                assert len(brackets) == pair.index - 1, (r, m, pair.index)
+                found += [(grid.nodes, vals, i, j) for i, j in brackets]
+    return found
+
+
+def test_polish_reaches_the_full_precision_zero_of_its_cubic():
+    # in units of the mesh size, against brentq run to its finest stop
+    # (largest difference measured: 1 eps)
+    brackets = polish_brackets()
+    assert len(brackets) == 504
+    for nodes, vals, i, j in brackets:
+        coeffs, uhi = local_cubic(nodes, vals, i, j)
+        u = knots._cubic_root(*(float(c) for c in coeffs), 0.0, uhi)
+        assert abs(u - brentq_cubic_root(coeffs, uhi)) <= 4 * EPS, (i, j)
+        assert knots._refine(nodes, vals, i, j) == nodes[i] + (nodes[1] - nodes[0]) * u
+
+
+def test_polish_agrees_with_the_brentq_polish_within_the_tolerance():
+    # the earlier polish stopped at the default tolerance (largest difference: 0.24 tol)
+    tol = knots.DEFAULT_TOL_SCALE
+    for nodes, vals, i, j in polish_brackets():
+        assert abs(knots._refine(nodes, vals, i, j) - brentq_refine(nodes, vals, i, j, tol)) <= tol, (i, j)
+
+
+def test_polish_of_a_zero_exactly_on_a_node():
+    nodes = np.linspace(0.0, 1.0, 9)
+    vals = (nodes - 0.5) * (1.0 + nodes)
+    assert vals[4] == 0.0
+    assert knots._brackets(vals, 7, knots.ZERO_SAMPLE_TOL) == [(3, 5)]
+    gh = nodes[1] - nodes[0]
+    assert abs(knots._refine(nodes, vals, 3, 5) - 0.5) <= 4 * EPS * gh
+
+
+@pytest.mark.parametrize("root, hi", [(2.0**-60, 1.0), (1.0 - 2.0**-52, 1.0), (2.0 - 2.0**-51, 2.0)])
+def test_polish_of_a_zero_at_a_bracket_end(root, hi):
+    # (u - root)(u^2 + 1): its one real zero lies an ulp or 2^-60 inside the bracket [0, hi]
+    u = knots._cubic_root(1.0, -root, 1.0, -root, 0.0, hi)
+    assert abs(u - root) <= 4 * EPS * root
+
+
+def test_polish_bisects_where_the_slope_vanishes():
+    # u^2 (u - d) - e on [-1, 1]: the double zero at 0 is pushed off the real line,
+    # so the slope vanishes at the midpoint where the search starts and is small
+    # near the one real zero, which is exactly `root`
+    d = 2.0**-10
+    root = d + 2.0**-30
+    e = root * root * (root - d)
+    u = knots._cubic_root(1.0, -d, 0.0, -e, -1.0, 1.0)
+    assert abs(u - root) <= 4 * EPS * root
+
+
+def test_polish_without_a_sign_change_rejected():
+    with pytest.raises(NumericalError, match="bracket lost"):
+        knots._refine(np.linspace(0.0, 1.0, 9), 1.0 + np.linspace(0.0, 1.0, 9), 3, 4)
+    # (u - 1)(u^2 + 1) vanishes exactly at the bracket end u = 1
+    with pytest.raises(NumericalError, match="bracket lost"):
+        knots._cubic_root(1.0, -1.0, 1.0, -1.0, 0.0, 1.0)
 
 
 def test_mesh_halving_stability():
