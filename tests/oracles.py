@@ -6,11 +6,10 @@ single B-spline, the de Boor form of the kernel and its collocation
 matrix, LAPACK's dense symmetric eigensolver (eigenvalues, and
 eigenpairs with their sample error bounds), scipy's brentq polish of a
 knot on its local cubic, closed-form kernels, a piecewise-polynomial
-construction of the Green's function, the exact
-eigenvalues of the r=1 collocation matrix, continuum eigenfrequency
-references for r in {2, 3, 4}, and two mpmath references: a continuum
-eigenfrequency solver for any r and extended-precision Ritz values of
-the collocation matrix.
+construction of the Green's function, the exact eigenvalues of the r=1
+collocation matrix, continuum eigenfrequency references for r in
+{2, 3, 4}, and two mpmath references: a continuum eigenfrequency solver
+for any r and extended-precision Ritz values of the collocation matrix.
 mpmath is imported only by the functions that use it.
 """
 
@@ -287,10 +286,11 @@ def brentq_cubic_root(coeffs, uhi, xtol=1e-300, rtol=4 * np.finfo(float).eps):
 
 
 def brentq_refine(nodes, vals, ilo, ihi, tol):
-    """The knot polish `nwidth.knots` used before its Newton-bisection.
+    """The zero of the bracket (ilo, ihi) polished by brentq on `local_cubic` to `tol`.
 
-    brentq on `local_cubic`, stopped at xtol = tol / gh (floored at 1e-15)
-    and rtol = 8 eps.  Returns the zero in the coordinates of `nodes`.
+    brentq stops at xtol = tol / gh (floored at 1e-15) and rtol = 8 eps,
+    short of float64 precision.  Returns the zero in the coordinates of
+    `nodes`.
     """
     coeffs, uhi = local_cubic(nodes, vals, ilo, ihi)
     gh = nodes[1] - nodes[0]
