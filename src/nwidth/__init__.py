@@ -5,7 +5,17 @@ Green's-function integral eigenproblem with the trapezoid rule on a
 uniform grid, checks the proven bounds and the conjectured asymptotic
 midpoint, measures empirical convergence orders, and extracts the
 optimal spline knots as eigenfunction zeros.
+
+Importing the package sets OPENBLAS_NUM_THREADS to 1 unless the caller
+has set it: the solves are matrix-free and small, and an idle OpenBLAS
+worker thread busy-waits after numpy loads, which on two cores cost a
+canonical run as much CPU time as its work.  The setting acts only if
+numpy is not imported yet; a value the caller sets is kept.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before the first import of numpy
 
 from .convergence import ConvergenceStudy, run_study
 from .eigensolver import Eigenpair, eigenfunction_values, top_eigenpairs, top_eigenvalues

@@ -1,7 +1,14 @@
 """Command-line entry point.
 
 Subcommands: compute, conjecture-table, convergence, knots, eigenfunctions.
-Exit codes: 0 success, 1 validation error, 2 numerical failure or out of memory.
+Exit codes: 0 success, 1 validation error, 2 numerical failure (a rank
+beyond float64 resolution, or an eigensolve that exhausts its iteration
+budget) or out of memory.
+
+Eigenpairs come from a Lanczos solver in numpy on the O(m r) product of
+the collocation matrix, which is formed only for a dense solve of a large
+share of its eigenvalues.  The run uses one OpenBLAS thread unless
+OPENBLAS_NUM_THREADS is set in the environment, whose value is kept.
 """
 
 from __future__ import annotations

@@ -3,21 +3,33 @@
 Nothing here reads the interval: `nwidths.dn_from_eigenvalue` scales the
 eigenvalues to [a, b], and the eigenvectors are the same on every interval.
 
-Eigenvalues and eigenpairs come from one solver: ARPACK's implicitly
-restarted Lanczos method (Lehoucq, Sorensen and Yang, *ARPACK Users'
-Guide*, 1998) through scipy, on the O(m r) product of
-`NystromSystem.matvec`, so no m x m array is formed.  It starts from a
-fixed seeded vector, so the same system gives bitwise the same result.
-Only a request for all m eigenvalues, which ARPACK does not serve, goes
-to LAPACK's dense symmetric solver on the formed matrix.
+Eigenvalues and eigenpairs come from one solver, a thick-restart Lanczos
+method (Wu and Simon, *SIAM J. Matrix Anal. Appl.* 22, 2000) in numpy on
+the O(m r) product of `NystromSystem.matvec`, so no m x m array is
+formed.  Its basis holds max(MIN_BASIS, 2 count + 1) vectors, ARPACK's
+default, and is reorthogonalized in full at every step.  When it is full,
+the projected matrix (tridiagonal, plus an arrowhead after a restart) is
+diagonalized; a Ritz pair whose residual estimate beta |s_i| has fallen
+to eps |theta_i| (ARPACK's test at tol = 0, with its floor eps^(2/3)
+measured in units of lambda_1) is locked and leaves the projected matrix,
+and the basis restarts from the leading half of the Ritz vectors.  The
+start vector is a fixed hash of the index, so the same system gives
+bitwise the same result, and a value's digits do not depend on how many
+values below it were asked for while the basis size stays MIN_BASIS.
+A request for more than about m/6 values (2 count + 1 > m/3), where a
+dense solve is about as fast or faster, goes to LAPACK's symmetric solver
+on the formed matrix instead; that includes all m eigenvalues, and every
+mesh of fewer than 9 nodes.
 
 `top_eigenvalues` returns the raw values.  `top_eigenpairs` enforces its
 contract: strictly descending positive simple eigenvalues, per-pair
 residuals below RESIDUAL_TOL times lambda_1 (the 2-norm of the matrix),
 pairwise near-orthogonality, max-norm normalized vectors whose first
-sample above the pair's error bound is positive.  A solve that exhausts
-the solver's iteration budget raises NumericalError instead of returning
-silently.
+sample above the pair's error bound is positive.  The matrix is
+persymmetric, so the rank-k eigenvector is mirror-symmetric with parity
+(-1)^(k-1); each vector is made exactly so before it is checked.  A
+solve that exhausts the solver's iteration budget, or whose products
+stop being finite, raises NumericalError instead of returning silently.
 
 Every pair carries an a-posteriori bound on the error of its samples
 against the eigenvector of the exact [0, 1] collocation matrix: the
@@ -32,8 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import NumericalError, ValidationError
 from .nystrom import Grid, NystromSystem
@@ -49,10 +59,21 @@ GAP_MARGIN = 16.0
 #: A model, not a proof, calibrated against the double-double matrix of
 #: `nwidth.extended`.  Every interval is solved on the one [0, 1] matrix of
 #: its (r, m); over r = 1..20, m = 240, 500, 1000, 2047 and ranks 1..8
-#: every float64 sample of the Lanczos pairs lay within 0.294 of its bound
-#: of the refined one (largest at r = 20, m = 240, rank 3).
+#: every float64 sample of the Lanczos pairs lay within 0.169 of its bound
+#: of the refined one (largest at r = 19, m = 240, rank 3).
 ASSEMBLY_ROUNDING = 0.25
 _EPS = float(np.finfo(np.float64).eps)
+#: Fewest vectors in a Lanczos basis; a request for count values gets
+#: max(MIN_BASIS, 2 count + 1), capped at m.
+MIN_BASIS = 20
+#: Iteration budget: a Lanczos solve may take as many products with the
+#: matrix as BUDGET_BASES full bases hold.  The canonical solves take one
+#: or two bases' worth; the most measured over r = 1..20, m = 63, 511, 2047
+#: and up to 300 values was 8.9 (r = 17, 100 values at m = 2047).
+BUDGET_BASES = 100
+#: Ritz values down to this fraction of lambda_1 must converge to their own
+#: relative precision; smaller ones, below the float64 floor, to this one.
+_CONVERGED_FLOOR = _EPS ** (2 / 3)
 
 
 @dataclass(frozen=True)
@@ -92,24 +113,128 @@ def sample_error_bound(
     return (max(residual, _EPS * lam1 * norm) + rounding * (theta + above) * norm) / gap
 
 
+def _start(m: int, seed: int) -> np.ndarray:
+    """A fixed generic unit vector: the splitmix64 hash of each index, centred.
+
+    A hash, not `numpy.random`, whose import costs more than a whole solve.
+    In exact arithmetic a mirror-symmetric start would miss every other
+    eigenvector; the hash of the index has no such symmetry.
+    """
+    z = np.arange(seed * m + 1, seed * m + m + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    x = (z >> np.uint64(11)).astype(float) - 2.0**52
+    return x / np.linalg.norm(x)
+
+
+def _orthogonalize(Q: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """w less its components along the orthonormal rows of Q, the components removed, and its norm.
+
+    Classical Gram-Schmidt, repeated while a pass shrinks w by more than a
+    factor 1/sqrt(2) (Daniel, Gragg, Kaufman and Stewart, *Math. Comp.* 30,
+    1976), at most three times.  A w still shrinking in the third pass lies
+    in the span of Q to rounding, and comes back as zeros.
+    """
+    coef = 0.0
+    size = math.sqrt(w @ w)
+    for _ in range(3):
+        c = Q @ w
+        w = w - c @ Q
+        coef = coef + c
+        before, size = size, math.sqrt(w @ w)
+        if size > math.sqrt(0.5) * before:
+            return w, coef, size
+    return np.zeros_like(w), coef, 0.0
+
+
+def _lanczos(matvec, m: int, count: int, vectors: bool):
+    """The `count` largest eigenvalues, descending, and their vectors as columns (or None).
+
+    The basis vectors are the rows of Q: first the locked Ritz vectors,
+    then the active basis, whose projected matrix is T[locked:, locked:].
+    """
+    basis = min(max(MIN_BASIS, 2 * count + 1), m)
+    keep = (basis + 1) // 2  # Ritz vectors a restart retains, the locked ones included
+    budget = BUDGET_BASES * basis
+    Q = np.empty((basis + 1, m))
+    T = np.zeros((basis, basis))
+    Q[0] = _start(m, 0)
+    locked, j, products = 0, 0, 0
+    held = np.empty(0)  # the locked Ritz values
+    while True:
+        for j in range(j, basis):
+            if products == budget:
+                raise NumericalError(
+                    f"eigensolver did not converge within its iteration budget of {budget} products"
+                )
+            # the three-term recurrence first, then the full reorthogonalization
+            w = matvec(Q[j])
+            products += 1
+            if j:
+                w -= T[j, j - 1] * Q[j - 1]
+            alpha = float(Q[j] @ w)
+            if not math.isfinite(alpha):
+                raise NumericalError(
+                    "eigensolver did not converge within its iteration budget: "
+                    "a product with the matrix is not finite"
+                )
+            w -= alpha * Q[j]
+            w, coef, beta = _orthogonalize(Q[: j + 1], w)
+            T[j, j] = alpha + coef[j]
+            if j + 1 == m:  # the basis spans the whole space: the Ritz pairs are exact
+                beta = 0.0
+            elif beta == 0.0:  # an invariant subspace: go on from a new start
+                w, _, size = _orthogonalize(Q[: j + 1], _start(m, j + 1))
+                Q[j + 1] = w / size
+            else:
+                Q[j + 1] = w / beta
+            if j + 1 < basis:
+                T[j, j + 1] = T[j + 1, j] = beta
+
+        theta, S = np.linalg.eigh(T[locked:, locked:])
+        values = np.concatenate((held, theta))
+        top = np.argsort(values, kind="stable")[::-1][:count]
+        floor = _CONVERGED_FLOOR * values[top[0]]
+        converged = np.concatenate((np.ones(locked, bool),
+                                    beta * np.abs(S[-1]) <= _EPS * np.maximum(np.abs(theta), floor)))
+        if converged[top].all():
+            if not vectors:
+                return values[top], None
+            Y = np.empty((count, m))
+            active = top >= locked
+            Y[~active] = Q[top[~active]]
+            Y[active] = S[:, top[active] - locked].T @ Q[locked:basis]
+            return values[top], Y.T
+
+        # restart: lock the converged wanted pairs, keep the leading other Ritz
+        # vectors, and go on from the residual direction Q[basis]
+        lock = [i - locked for i in top if i >= locked and converged[i]]
+        rest = [i for i in np.argsort(theta, kind="stable")[::-1] if i not in lock]
+        rest = rest[: max(keep - locked - len(lock), 1)]
+        Q[locked : locked + len(lock) + len(rest)] = S[:, lock + rest].T @ Q[locked:basis]
+        held = np.concatenate((held, theta[lock]))
+        T[locked:, locked:] = 0.0
+        locked += len(lock)
+        j = locked + len(rest)
+        Q[j] = Q[basis]
+        for n, i in enumerate(rest, start=locked):
+            T[n, n] = theta[i]
+            T[j, n] = T[n, j] = beta * S[-1, i]
+
+
 def _solve(system: NystromSystem, count: int, vectors: bool):
     """The `count` largest eigenvalues, descending, and their vectors if asked for (else None)."""
     m = system.grid.m
+    if 3 * (2 * count + 1) <= m:
+        return _lanczos(system.matvec, m, count, vectors)
     try:
-        if count == m:  # ARPACK serves at most m - 1 eigenpairs
-            result = scipy.linalg.eigh(system.matrix, eigvals_only=not vectors, subset_by_index=(0, m - 1))
-        else:
-            op = scipy.sparse.linalg.LinearOperator((m, m), matvec=system.matvec, dtype=float)
-            # a fixed generic start: the result does not depend on earlier solves, and in
-            # exact arithmetic a mirror-symmetric start would miss every other eigenvector
-            v0 = np.random.default_rng(0).standard_normal(m)
-            result = scipy.sparse.linalg.eigsh(op, k=count, which="LA", tol=0, v0=v0,
-                                               return_eigenvectors=vectors)
-    except (scipy.linalg.LinAlgError, scipy.sparse.linalg.ArpackError) as exc:  # ArpackNoConvergence too
+        if not vectors:
+            return np.linalg.eigvalsh(system.matrix)[: -count - 1 : -1], None
+        w, v = np.linalg.eigh(system.matrix)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver did not converge within its iteration budget: {exc}") from exc
-    w, v = result if vectors else (result, None)
-    order = np.argsort(w)[::-1]
-    return w[order], None if v is None else v[:, order]
+    return w[: -count - 1 : -1], v[:, : -count - 1 : -1]
 
 
 def oriented(vector: np.ndarray, bound: float) -> np.ndarray:
@@ -157,17 +282,20 @@ def top_eigenpairs(system: NystromSystem, count: int) -> list[Eigenpair]:
                 "simple, so the rank is beyond float64 resolution"
             )
 
-    V = v[:, :count] / np.abs(v[:, :count]).max(axis=0)
+    v = v[:, :count] / np.linalg.norm(v[:, :count], axis=0)
+    off = np.abs(v.T @ v - np.eye(count)).max() if count > 1 else 0.0
+    if off > ORTHO_TOL:
+        raise NumericalError(f"eigenvectors lost orthogonality: {off:.3e} > {ORTHO_TOL:g}")
+
+    # the matrix is persymmetric: the rank-k eigenvector has mirror parity (-1)^(k-1)
+    V = (v + (-1.0) ** np.arange(count) * v[::-1]) / 2
+    V /= np.abs(V).max(axis=0)
     residuals = np.array([np.linalg.norm(system.matvec(V[:, k]) - w[k] * V[:, k]) for k in range(count)])
     limit = RESIDUAL_TOL * w[0]
     worst = residuals.max()
     if worst > limit:
         raise NumericalError(f"eigenpair residual {worst:.3e} exceeds {limit:.3e}")
     norms = np.linalg.norm(V, axis=0)
-    gram = (V / norms).T @ (V / norms)
-    off = np.abs(gram - np.diag(np.diag(gram))).max() if count > 1 else 0.0
-    if off > ORTHO_TOL:
-        raise NumericalError(f"eigenvectors lost orthogonality: {off:.3e} > {ORTHO_TOL:g}")
 
     rounding = ASSEMBLY_ROUNDING * (system.kernel.r + 3) * _EPS
     pairs = []

@@ -28,7 +28,6 @@ from fractions import Fraction
 from math import factorial
 
 import numpy as np
-import scipy.linalg
 
 from .eigensolver import GAP_MARGIN, Eigenpair
 from .errors import NumericalError, ValidationError
@@ -197,7 +196,7 @@ class ExtendedSystem:
     def _build(self) -> None:
         if self.hi is None:
             self.hi, self.lo = assemble_dd(self.r, self.m)
-            self.values, self.vectors = scipy.linalg.eigh(self.hi)
+            self.values, self.vectors = np.linalg.eigh(self.hi)
 
     def _residual(self, xh, xl):
         """Rayleigh quotient theta of x and the residual A x - theta x, in double-double."""

@@ -141,15 +141,32 @@ def _cubic_root(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float
             return x
 
 
-def _refine(nodes: np.ndarray, vals: np.ndarray, ilo: int, ihi: int) -> float:
-    # cubic through the 4 nearest samples, in units of the mesh size, solved
-    # to full precision on its sign-change bracket by `_cubic_root`
+def _local_cubic(nodes: np.ndarray, vals: np.ndarray, ilo: int, ihi: int) -> tuple[float, ...]:
+    """The cubic through the 4 samples nearest the bracket (ilo, ihi), and the bracket's far end.
+
+    In units u of the mesh size from nodes[ilo]: returns c3, c2, c1, c0 of
+    c3 u^3 + c2 u^2 + c1 u + c0 and uhi, the u of nodes[ihi] (1 or 2).
+    Newton's divided differences, expanded into the monomial basis, in
+    Python floats: a fraction of the cost of a least-squares fit.
+    """
     lo = min(max(ilo - 1, 0), len(nodes) - 4)
-    gh = nodes[1] - nodes[0]
-    u = (nodes[lo : lo + 4] - nodes[ilo]) / gh
-    c3, c2, c1, c0 = (float(c) for c in np.polyfit(u, vals[lo : lo + 4], 3))
-    uhi = float((nodes[ihi] - nodes[ilo]) / gh)
-    return float(nodes[ilo] + gh * _cubic_root(c3, c2, c1, c0, 0.0, uhi))
+    x0, gh = float(nodes[ilo]), float(nodes[1] - nodes[0])
+    u0, u1, u2, u3 = ((x - x0) / gh for x in nodes[lo : lo + 4].tolist())
+    f0, f1, f2, f3 = vals[lo : lo + 4].tolist()
+    d01, d12, d23 = (f1 - f0) / (u1 - u0), (f2 - f1) / (u2 - u1), (f3 - f2) / (u3 - u2)
+    d012, d123 = (d12 - d01) / (u2 - u0), (d23 - d12) / (u3 - u1)
+    c3 = (d123 - d012) / (u3 - u0)
+    # f0 + d01 (u - u0) + d012 (u - u0)(u - u1) + c3 (u - u0)(u - u1)(u - u2)
+    c2 = d012 - c3 * (u0 + u1 + u2)
+    c1 = d01 - d012 * (u0 + u1) + c3 * (u0 * u1 + u0 * u2 + u1 * u2)
+    c0 = f0 - d01 * u0 + d012 * u0 * u1 - c3 * u0 * u1 * u2
+    return c3, c2, c1, c0, (float(nodes[ihi]) - x0) / gh
+
+
+def _refine(nodes: np.ndarray, vals: np.ndarray, ilo: int, ihi: int) -> float:
+    # the zero of the local cubic, to full precision on its sign-change bracket
+    c3, c2, c1, c0, uhi = _local_cubic(nodes, vals, ilo, ihi)
+    return float(nodes[ilo] + (nodes[1] - nodes[0]) * _cubic_root(c3, c2, c1, c0, 0.0, uhi))
 
 
 def _zeros(pair: Eigenpair, grid: Grid, tol: float) -> tuple[np.ndarray, float]:

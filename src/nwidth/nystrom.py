@@ -6,9 +6,11 @@ eigenvalues there directly.  On and above its diagonal it equals
 step^2 X Y^T for two m x r factors (the closed form of `nwidth.kernel`):
 a symmetric semiseparable matrix of rank r.  A system holds only the
 factors, so a product with the matrix costs O(m r) operations and memory
-(`NystromSystem.matvec`).  The m x m matrix itself is formed on first
-request, which only a solve for all m eigenvalues and `matrix_text` (the
-CLI's `--dump-matrix`) make.  The collocation matrix on [a, b] is
+(`NystromSystem.matvec`), the one product the Lanczos solver of
+`nwidth.eigensolver` needs.  The m x m matrix itself is formed on first
+request, which only the dense solve (a request for more than about m/6
+eigenvalues, all m among them) and `matrix_text` (the CLI's
+`--dump-matrix`) make.  The collocation matrix on [a, b] is
 (b-a)^(2r) times it, with the same eigenvectors, so every interval is
 solved on this one matrix of (r, m); the grid keeps the nodes of [a, b].
 """

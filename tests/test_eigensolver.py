@@ -15,6 +15,7 @@ from nwidth import (
     top_eigenpairs,
     top_eigenvalues,
 )
+from nwidth import eigensolver
 from nwidth.eigensolver import oriented
 from nwidth.nystrom import NystromSystem
 
@@ -226,3 +227,50 @@ def test_r1_eigenvectors_are_discrete_sines():
     for k in range(1, 4):
         vals = eigenfunction_values(pairs[k - 1], system.grid)
         assert np.abs(vals - np.sin(k * math.pi * x)).max() <= 1e-10
+
+
+def admitted_pairs(system, most=8):
+    """The solver's pairs of every rank up to `most` that its checks admit."""
+    for count in range(most, 0, -1):
+        try:
+            return top_eigenpairs(system, count)
+        except NumericalError:
+            continue
+    raise AssertionError("no rank admitted")
+
+
+@pytest.mark.parametrize("m", PAIR_MESHES)
+def test_mirror_symmetrisation_stays_within_the_error_bound(m):
+    # the rank-k eigenvector of the persymmetric matrix has parity (-1)^(k-1);
+    # making the solver's vector exactly so moves no sample beyond the pair's
+    # bound (largest move measured: 0.46 of the bound, at m = 64)
+    for r in ALL_R:
+        system = system_for(r, m)
+        pairs = admitted_pairs(system)
+        _, v = eigensolver._solve(system, len(pairs) + 1, vectors=True)
+        for pair in pairs:
+            raw = v[:, pair.index - 1] / np.abs(v[:, pair.index - 1]).max()
+            raw *= 1.0 if raw @ pair.vector > 0 else -1.0
+            parity = (-1) ** (pair.index - 1)
+            assert np.array_equal(pair.vector, parity * pair.vector[::-1])
+            assert np.abs(pair.vector - raw).max() <= pair.error_bound, f"r={r}, rank {pair.index}"
+
+
+def test_repeated_eigenvalues_are_all_found():
+    # three distinct values, sixteen times each: the Krylov space of any start
+    # has dimension 3, so the Lanczos basis goes on from new start vectors
+    d = np.tile([3.0, 2.0, 1.0], 16)
+    lam = top_eigenvalues(diagonal_system(d), 4)
+    np.testing.assert_allclose(lam, np.full(4, 3.0 / 49**2), rtol=64 * EPS, atol=0)
+    # every product of the zero matrix vanishes: each step starts anew
+    assert np.array_equal(top_eigenvalues(diagonal_system(np.zeros(48)), 4), np.zeros(4))
+
+
+def test_start_vector_is_generic():
+    # as much weight in each mirror parity as a random vector has (sqrt 2 of
+    # the unit norm each), and the same bits on every call
+    v = eigensolver._start(2047, 0)
+    assert np.linalg.norm(v) == pytest.approx(1.0, rel=4 * EPS)
+    for parity in (1, -1):
+        assert np.linalg.norm(v + parity * v[::-1]) == pytest.approx(math.sqrt(2), rel=0.1)
+    assert np.array_equal(v, eigensolver._start(2047, 0))

@@ -87,8 +87,8 @@ def test_zeros_symmetric_about_midpoint():
 
 
 def test_mirror_symmetric_samples_give_mirror_symmetric_knots():
-    # the knot refinement keeps the mirror symmetry of its samples: what is left
-    # of the knots' asymmetry on [-c, c] is that of the float64 eigenvectors
+    # the pairs are mirror-symmetric to the bit, and the knot refinement keeps
+    # that symmetry on [-c, c] to rounding
     for r in range(1, 7):
         for m in (31, 64, 127):
             _, pairs = pairs_for(r, m, 6)
@@ -96,9 +96,8 @@ def test_mirror_symmetric_samples_give_mirror_symmetric_knots():
                 grid = build_grid(Interval(-c, c), m)
                 for pair in pairs[1:]:
                     parity = (-1) ** (pair.index - 1)
-                    mirrored = (pair.vector + parity * pair.vector[::-1]) / 2
-                    symmetric = dataclasses.replace(pair, vector=mirrored)
-                    zeros = extract_knots(symmetric, grid, r=r).zeros
+                    assert np.array_equal(pair.vector, parity * pair.vector[::-1])
+                    zeros = extract_knots(pair, grid, r=r).zeros
                     assert np.abs(zeros + zeros[::-1]).max() <= 4 * EPS * 2 * c, (r, m, c, pair.index)
 
 
@@ -117,14 +116,26 @@ def polish_brackets():
     return found
 
 
-def test_polish_reaches_the_full_precision_zero_of_its_cubic():
-    # in units of the mesh size, against brentq run to its finest stop
-    # (largest difference measured: 1 eps)
+def test_local_cubic_matches_the_least_squares_fit():
+    # the closed form against numpy's polyfit of the same 4 samples, in units
+    # of their largest magnitude (largest difference measured: 4.2 eps)
     brackets = polish_brackets()
     assert len(brackets) == 504
     for nodes, vals, i, j in brackets:
         coeffs, uhi = local_cubic(nodes, vals, i, j)
-        u = knots._cubic_root(*(float(c) for c in coeffs), 0.0, uhi)
+        *closed, u = knots._local_cubic(nodes, vals, i, j)
+        lo = min(max(i - 1, 0), len(nodes) - 4)
+        scale = np.abs(vals[lo : lo + 4]).max()
+        assert np.abs(np.array(closed) - coeffs).max() <= 8 * EPS * scale, (i, j)
+        assert u == uhi
+
+
+def test_polish_reaches_the_full_precision_zero_of_its_cubic():
+    # in units of the mesh size, against brentq run to its finest stop
+    # (largest difference measured: 1 eps)
+    for nodes, vals, i, j in polish_brackets():
+        *coeffs, uhi = knots._local_cubic(nodes, vals, i, j)
+        u = knots._cubic_root(*coeffs, 0.0, uhi)
         assert abs(u - brentq_cubic_root(coeffs, uhi)) <= 4 * EPS, (i, j)
         assert knots._refine(nodes, vals, i, j) == nodes[i] + (nodes[1] - nodes[0]) * u
 
