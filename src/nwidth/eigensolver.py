@@ -10,9 +10,10 @@ formed.  Its basis holds max(MIN_BASIS, 2 count + 1) vectors, ARPACK's
 default, and is reorthogonalized in full at every step.  When it is full,
 the projected matrix (tridiagonal, plus an arrowhead after a restart) is
 diagonalized; a Ritz pair whose residual estimate beta |s_i| has fallen
-to eps |theta_i| (ARPACK's test at tol = 0, with its floor eps^(2/3)
-measured in units of lambda_1) is locked and leaves the projected matrix,
-and the basis restarts from the leading half of the Ritz vectors.  The
+to eps |theta_i| (ARPACK's test at tol = 0) is locked and leaves the
+projected matrix, and the basis restarts from the leading half of the
+Ritz vectors.  A value within GAP_MARGIN eps lambda_1 of zero, where no
+float64 eigenvalue is trusted, needs to converge only to that level.  The
 start vector is a fixed hash of the index, so the same system gives
 bitwise the same result, and a value's digits do not depend on how many
 values below it were asked for while the basis size stays MIN_BASIS.
@@ -67,13 +68,9 @@ _EPS = float(np.finfo(np.float64).eps)
 #: max(MIN_BASIS, 2 count + 1), capped at m.
 MIN_BASIS = 20
 #: Iteration budget: a Lanczos solve may take as many products with the
-#: matrix as BUDGET_BASES full bases hold.  The canonical solves take one
-#: or two bases' worth; the most measured over r = 1..20, m = 63, 511, 2047
-#: and up to 300 values was 8.9 (r = 17, 100 values at m = 2047).
+#: matrix as BUDGET_BASES full bases hold; the most measured over
+#: r = 1..20, m = 63, 511, 2047 and up to 300 values was 2.0.
 BUDGET_BASES = 100
-#: Ritz values down to this fraction of lambda_1 must converge to their own
-#: relative precision; smaller ones, below the float64 floor, to this one.
-_CONVERGED_FLOOR = _EPS ** (2 / 3)
 
 
 @dataclass(frozen=True)
@@ -195,9 +192,9 @@ def _lanczos(matvec, m: int, count: int, vectors: bool):
         theta, S = np.linalg.eigh(T[locked:, locked:])
         values = np.concatenate((held, theta))
         top = np.argsort(values, kind="stable")[::-1][:count]
-        floor = _CONVERGED_FLOOR * values[top[0]]
-        converged = np.concatenate((np.ones(locked, bool),
-                                    beta * np.abs(S[-1]) <= _EPS * np.maximum(np.abs(theta), floor)))
+        floor = GAP_MARGIN * _EPS * values[top[0]]  # no eigenvalue is trusted closer to zero
+        tol = np.where(np.abs(theta) > floor, _EPS * np.abs(theta), floor)
+        converged = np.concatenate((np.ones(locked, bool), beta * np.abs(S[-1]) <= tol))
         if converged[top].all():
             if not vectors:
                 return values[top], None
