@@ -15,8 +15,10 @@ projected matrix, and the basis restarts from the leading half of the
 Ritz vectors.  A value within GAP_MARGIN eps lambda_1 of zero, where no
 float64 eigenvalue is trusted, needs to converge only to that level.  The
 start vector is a fixed hash of the index, so the same system gives
-bitwise the same result, and a value's digits do not depend on how many
-values below it were asked for while the basis size stays MIN_BASIS.
+bitwise the same result.  Up to 9 values the basis size does not depend
+on the count, so neither do the steps taken before a value is locked:
+the n = 4 row of `compute --r 4` is bitwise the same for every `--n`
+range up to 12 (a test holds this).
 A request for more than about m/6 values (2 count + 1 > m/3), where a
 dense solve is about as fast or faster, goes to LAPACK's symmetric solver
 on the formed matrix instead; that includes all m eigenvalues, and every

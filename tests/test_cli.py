@@ -174,8 +174,7 @@ def test_row_does_not_depend_on_the_n_range(capsys):
         rows.append(capsys.readouterr().out.splitlines()[1])
     assert rows[0] == rows[1] == rows[2]
     assert rows[0].startswith("4,4,2047,")
-    # lambda_1 lies 3.3 eps lambda_1 from the dense oracle's; the ARPACK solve
-    # of earlier versions printed 7.8187073432059382
+    # lambda_1 lies 3.3 eps lambda_1 from the dense oracle's
     assert rows[0].split(",")[4] == "7.81870734320594"
 
 
@@ -357,27 +356,19 @@ def test_full_spectrum_compute_matches_dense_oracle(capsys):
     np.testing.assert_allclose([row["d_n"] for row in rows], np.sqrt(ref), rtol=64 * EPS, atol=0)
 
 
-_FAILING_SOLVES = (["compute", "--r", "2", "--n", "2..4", "--m", "63"],
-                   ["knots", "--r", "2", "--k", "1..3", "--m", "63"])
-
-
-def _assert_numerical_failures(capsys):
-    for argv in _FAILING_SOLVES:
+@pytest.mark.parametrize("failure", ["non-finite-product", "exhausted-budget"])
+def test_solver_failure_is_a_numerical_failure(failure, monkeypatch, capsys):
+    if failure == "non-finite-product":
+        monkeypatch.setattr(nystrom.NystromSystem, "matvec", lambda self, x: np.full(len(x), np.nan))
+    else:
+        monkeypatch.setattr(eigensolver, "BUDGET_BASES", 0)
+    for argv in (["compute", "--r", "2", "--n", "2..4", "--m", "63"],
+                 ["knots", "--r", "2", "--k", "1..3", "--m", "63"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "iteration budget" in err
         assert "Traceback" not in err
-
-
-def test_non_finite_product_is_a_numerical_failure(monkeypatch, capsys):
-    monkeypatch.setattr(nystrom.NystromSystem, "matvec", lambda self, x: np.full(len(x), np.nan))
-    _assert_numerical_failures(capsys)
-
-
-def test_exhausted_iteration_budget_is_a_numerical_failure(monkeypatch, capsys):
-    monkeypatch.setattr(eigensolver, "BUDGET_BASES", 0)
-    _assert_numerical_failures(capsys)
 
 
 def test_knots_csv(tmp_path):
