@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import io
 import math
