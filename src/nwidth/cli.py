@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -121,17 +122,14 @@ def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
 
 def _parse_h(text: str) -> float:
     text = text.strip()
-    if text.startswith("2^"):
-        try:
-            return 2.0 ** float(text[2:])
-        except ValueError:
-            raise ValidationError(f"cannot parse mesh size '{text}'") from None
     try:
-        value = float(text)
+        value = 2.0 ** float(text[2:]) if text.startswith("2^") else float(text)
     except ValueError:
         raise ValidationError(f"cannot parse mesh size '{text}'") from None
-    if value <= 0:
-        raise ValidationError(f"mesh size must be positive, got '{text}'")
+    except OverflowError:  # 2^x beyond the float64 range
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValidationError(f"mesh size must be positive and finite, got '{text}'")
     return value
 
 
@@ -248,8 +246,8 @@ def _config_from_namespace(ns) -> RunConfig:
         config.dump_matrix = ns.dump_matrix
 
     if ns.command == "knots":
-        if ns.tol is not None and ns.tol <= 0:
-            raise ValidationError(f"--tol must be positive, got {ns.tol}")
+        if ns.tol is not None and not 0 < ns.tol < math.inf:
+            raise ValidationError(f"--tol must be positive and finite, got {ns.tol}")
         config.tol = ns.tol
     return config
 

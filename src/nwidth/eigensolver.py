@@ -59,11 +59,12 @@ TIE_REL_TOL = 1e-13
 #: Eigenvalues of a float64 solve are trusted to GAP_MARGIN * eps * lambda_1.
 GAP_MARGIN = 16.0
 #: Relative rounding of the assembled entries, per unit of (r + 3) * eps.
-#: A model, not a proof, calibrated against the double-double matrix of
-#: `nwidth.extended`.  Every interval is solved on the one [0, 1] matrix of
-#: its (r, m); over r = 1..20, m = 240, 500, 1000, 2047 and ranks 1..8
-#: every float64 sample of the Lanczos pairs lay within 0.169 of its bound
-#: of the refined one (largest at r = 19, m = 240, rank 3).
+#: A model, not a proof, calibrated against the double-double refinement on
+#: the de Boor matrix, kept as `DenseExtendedSystem` in `tests/oracles.py`.
+#: Every interval is solved on the one [0, 1] matrix of its (r, m); over
+#: r = 1..20, m = 240, 500, 1000, 2047 and ranks 1..8 every float64 sample
+#: of the Lanczos pairs lay within 0.169 of its bound of the refined one
+#: (largest at r = 19, m = 240, rank 3).
 ASSEMBLY_ROUNDING = 0.25
 _EPS = float(np.finfo(np.float64).eps)
 #: Fewest vectors in a Lanczos basis; a request for count values gets

@@ -1,4 +1,4 @@
-"""Double-double collocation matrix and eigenpair refinement beyond float64.
+"""Eigenpair refinement beyond float64, on the kernel's generators in double-double.
 
 A float64 eigenvector of the collocation matrix is accurate only to about
 eps * lambda_1 / gap_k of its maximum, which at high rank (lambda_k/lambda_1
@@ -7,39 +7,49 @@ single correct digit.  This module carries about 32 significant digits
 instead: every number is an unevaluated sum hi + lo of two float64 arrays
 (double-double; Dekker 1971, Hida, Li and Bailey 2001).
 
-The matrix is assembled on the unit interval with exact uniform nodes
-t_i = i/(m+1), like the float64 matrix of `nwidth.nystrom` on which every
-interval is solved.  Every coefficient of de Boor's recurrence there is a
-ratio of integers, and the recurrence only forms convex combinations of
-nonnegative numbers, so the double-double entries carry a relative error
-of a few units of 2^-104.
+The operator is the one `nwidth.nystrom` solves, on its rank-r
+generators: on the integer nodes k = 1..m of [0, m+1] the [0, 1] matrix
+is, on and above its diagonal, A_kl = s sum_i X_i(k) Y_i(l) with
 
-`ExtendedSystem.refine` runs residual-correction iterations: the residual is
-formed in double-double against that matrix, and the correction is solved
-in float64 through the full eigendecomposition of its leading part.  Each
-step shrinks the error by about eps * lambda_1 / gap_k, so ranks whose gap
-exceeds the float64 resolution of lambda_1 converge to double-double
-accuracy; for the others the refinement raises.
+    X_i(k) = k^(r+i) (m+1-k)^(r-1-i),   s = 1 / ((2r-1)! (m+1)^(4r-1)),
+    Y_i(l) = (-1)^i C(2r-1, r-1-i) l^(r-1-i) (m+1-l)^(r+i).
+
+Each generator is formed exactly as a Python integer and split into
+hi + lo after a power-of-two scaling, and s is applied once.  A product
+is the two cumulative sums of `NystromSystem.matvec`, each a log-depth
+scan in double-double (Hillis and Steele, *Comm. ACM* 29, 1986): O(m r)
+memory, no m x m array.
+
+`ExtendedSystem.refine` runs residual-correction iterations: the residual
+is formed in double-double, and the correction is solved in float64 on
+the leading K = max(3k, MIN_BASIS) pairs of the float64 Lanczos solver,
+with the matrix taken as zero on their complement.  Each step shrinks
+the error by about eps lambda_1 / gap_k + lambda_(K+1) / lambda_k, so
+ranks whose gap exceeds the float64 resolution of lambda_1 converge to
+double-double accuracy; for the others the refinement raises.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import factorial
 
 import numpy as np
 
-from .eigensolver import GAP_MARGIN, Eigenpair
+from .eigensolver import GAP_MARGIN, MIN_BASIS, Eigenpair, _solve
 from .errors import NumericalError, ValidationError
+from .kernel import Interval, Kernel
+from .nystrom import assemble, build_grid
 
 _EPS = float(np.finfo(np.float64).eps)
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker's splitting constant
-#: Relative accuracy of a double-double entry (a few units of 2^-104).
+#: Bound on the error of the double-double product with the exact matrix,
+#: per unit of lambda_1 ||x|| (2-norms).  The generators alternate in sign,
+#: so it is normwise, not entrywise: measured at most 0.40 eps^2 against
+#: exact rational entries (r = 1, 3, 7, 12, 20; m = 9, 31) and 0.88 eps^2
+#: against the de Boor double-double matrix of the tests (r = 1, 4, 10, 20;
+#: m = 240, 500).
 DD_ENTRY_REL = 64 * _EPS * _EPS
-#: Upper-triangle entries per vectorised block of the assembly.
-_BLOCK = 1 << 15
-#: Rows per block of the double-double matrix-vector product.
-_ROWS = 64
 #: Cap on residual-correction steps; each one shrinks the error at least twofold.
 MAX_STEPS = 40
 
@@ -83,133 +93,107 @@ def _div(ah, al, bh, bl):
     return _two_sum(q, (rh + rl) / bh)
 
 
-def _ratio(p, q):
-    """Integer arrays p/q as double-double (p, q exact in float64)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    hi = p / q
-    ph, pl = _two_prod(hi, q)
-    return hi, ((p - ph) - pl) / q
-
-
 def _dd_of(x: Fraction) -> tuple[float, float]:
     hi = float(x)
     return hi, float(x - Fraction(hi))
 
 
-def _rowsum(hi, lo):
-    """Row sums of double-double matrices by pairwise double-double addition."""
-    while hi.shape[1] > 1:
-        if hi.shape[1] % 2:
-            pad = np.zeros((hi.shape[0], 1))
-            hi = np.hstack((hi, pad))
-            lo = np.hstack((lo, pad))
-        hi, lo = _add(hi[:, 0::2], lo[:, 0::2], hi[:, 1::2], lo[:, 1::2])
-    return hi[:, 0], lo[:, 0]
-
-
 def _dot(xh, xl, yh, yl):
     p, e = _two_prod(xh, yh)
-    e = e + (xh * yl + xl * yh)
-    return _rowsum(p[None, :], e[None, :])
+    h, l = _cumsum(p, e + (xh * yl + xl * yh))
+    return h[-1], l[-1]
 
 
-# ---------------------------------------------------------------- assembly
+def _cumsum(hi, lo):
+    """Inclusive cumulative sums along the last axis, in double-double.
 
-
-def _bspline_dd(r: int, i: np.ndarray, j: np.ndarray, n: int):
-    """B[0,..,0,t_j,1,..,1](t_i) on nodes t = k/n, for i <= j, in double-double.
-
-    De Boor's triangle for the B-spline form of the kernel, with every
-    ratio of node differences written as a ratio of integers.
+    Hillis and Steele's scan: for d = 1, 2, 4, ... a vectorised pass adds
+    to every entry the partial sum d places before it, so log2(m) passes
+    cover m entries.
     """
-    p = 2 * r - 1
-    ay = _ratio(i, j)
-    by = _ratio(j - i, j)
-    ab = _ratio(i, np.full(i.shape, n))
-    bb = _ratio(n - i, np.full(i.shape, n))
-    dh = np.zeros((p + 1,) + i.shape)
-    dl = np.zeros((p + 1,) + i.shape)
-    dh[r] = 1.0
-    for lev in range(1, p + 1):
-        for k in range(min(p, r + lev), max(lev, r) - 1, -1):
-            al, be = (ay, by) if k == lev else (ab, bb)
-            uh, ul = _mul(be[0], be[1], dh[k - 1], dl[k - 1])
-            vh, vl = _mul(al[0], al[1], dh[k], dl[k])
-            dh[k], dl[k] = _add(uh, ul, vh, vl)
-    return dh[p], dl[p]
-
-
-def assemble_dd(r: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The collocation matrix h * g(t_k, t_l) on [0, 1] as hi + lo float64 matrices.
-
-    g(x, y) = g(1-y, 1-x), so only the entries with k <= l and
-    k + l <= m+1 are evaluated and the rest are mirrored, which makes the
-    result exactly persymmetric.
-    """
-    n = m + 1
-    # prefactor h * t^r (1-t)^r / (2r-1)! of column t = j/n, exact then rounded
-    den = n ** (2 * r + 1) * factorial(2 * r - 1)
-    scale = np.array([_dd_of(Fraction(j**r * (n - j) ** r, den)) for j in range(1, m + 1)])
-    iu, ju = np.triu_indices(m)
-    keep = iu + ju <= m - 1
-    iu, ju = iu[keep], ju[keep]
-    hi = np.zeros((m, m))
-    lo = np.zeros((m, m))
-    for start in range(0, iu.size, _BLOCK):
-        rows, cols = iu[start : start + _BLOCK], ju[start : start + _BLOCK]
-        bh, bl = _bspline_dd(r, rows + 1, cols + 1, n)
-        hi[rows, cols], lo[rows, cols] = _mul(scale[cols, 0], scale[cols, 1], bh, bl)
-    for part in (hi, lo):
-        part[m - 1 - ju, m - 1 - iu] = part[iu, ju]
-        part += np.triu(part, 1).T
+    hi, lo = hi.copy(), lo.copy()
+    d = 1
+    while d < hi.shape[-1]:
+        hi[..., d:], lo[..., d:] = _add(hi[..., d:], lo[..., d:], hi[..., :-d], lo[..., :-d])
+        d *= 2
     return hi, lo
 
 
-def matvec_dd(hi: np.ndarray, lo: np.ndarray, xh: np.ndarray, xl: np.ndarray):
-    """(hi + lo) @ (xh + xl) in double-double."""
-    m = hi.shape[0]
-    yh = np.empty(m)
-    yl = np.empty(m)
-    for start in range(0, m, _ROWS):
-        block = hi[start : start + _ROWS]
-        p, e = _two_prod(block, xh)
-        yh[start : start + _ROWS], yl[start : start + _ROWS] = _rowsum(p, e)
-    small = hi @ xl + lo @ xh
-    return _add(yh, yl, small, np.zeros(m))
+# ---------------------------------------------------------------- generators
 
 
-# ---------------------------------------------------------------- refinement
+def _hi_lo(v: int, e: int, den: int) -> tuple[float, float]:
+    # the leading 53 bits of v, exact, and the rest, rounded once
+    t = max(v.bit_length() - 53, 0)
+    top = v >> t
+    return math.ldexp(top, t - e), (v - (top << t)) / den
+
+
+def _generator(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integers times 2^-e as hi + lo arrays, for the e that puts the largest in [1/2, 1).
+
+    hi holds each integer's leading 53 bits and lo the rest, rounded once,
+    so hi + lo carries it to a relative 2^-105, also where the integer
+    itself lies beyond the float64 range.
+    """
+    e = max(abs(v) for row in rows for v in row).bit_length()
+    den = 1 << e
+    hi = np.empty((len(rows), len(rows[0])))
+    lo = np.empty_like(hi)
+    for i, row in enumerate(rows):
+        hi[i], lo[i] = np.array([_hi_lo(v, e, den) for v in row]).T
+    return hi, lo, e
 
 
 class ExtendedSystem:
-    """The double-double matrix of one (r, m) and the float64 eigendecomposition of its hi part.
+    """The [0, 1] collocation matrix of (r, m) as double-double generators, and float64 eigenpairs.
 
-    Both are built on the first `refine` call and reused by later ones.
+    The generators are formed on construction; the eigenpairs on the first
+    `refine` call, again only when a later rank needs more of them.
     """
 
     def __init__(self, r: int, m: int):
         self.r = r
         self.m = m
-        self.hi = self.lo = self.values = self.vectors = None
+        n = m + 1
+        ks = range(1, n)
+        coef = [(-1) ** i * math.comb(2 * r - 1, r - 1 - i) for i in range(r)]
+        self.Xh, self.Xl, ex = _generator([[k ** (r + i) * (n - k) ** (r - 1 - i) for k in ks]
+                                           for i in range(r)])
+        self.Yh, self.Yl, ey = _generator([[coef[i] * k ** (r - 1 - i) * (n - k) ** (r + i) for k in ks]
+                                           for i in range(r)])
+        self.scale = _dd_of(Fraction(2 ** (ex + ey), math.factorial(2 * r - 1) * n ** (4 * r - 1)))
+        self.values = self.vectors = None
 
-    def _build(self) -> None:
-        if self.hi is None:
-            self.hi, self.lo = assemble_dd(self.r, self.m)
-            self.values, self.vectors = np.linalg.eigh(self.hi)
+    def matvec(self, xh: np.ndarray, xl: np.ndarray):
+        """A (xh + xl) in double-double, from the two cumulative sums of `NystromSystem.matvec`.
+
+            (A x)_k = s (X_k . sum_{l>=k} Y_l x_l  +  Y_k . sum_{l<k} X_l x_l)
+        """
+        Xh, Xl, Yh, Yl = self.Xh, self.Xl, self.Yh, self.Yl
+        th, tl = _cumsum(*_mul(Yh[:, ::-1], Yl[:, ::-1], xh[::-1], xl[::-1]))
+        yh, yl = _mul(Xh, Xl, th[:, ::-1], tl[:, ::-1])
+        hh, hl = _cumsum(*_mul(Xh[:, :-1], Xl[:, :-1], xh[:-1], xl[:-1]))
+        yh[:, 1:], yl[:, 1:] = _add(yh[:, 1:], yl[:, 1:], *_mul(Yh[:, 1:], Yl[:, 1:], hh, hl))
+        yh, yl = _cumsum(yh.T, yl.T)
+        return _mul(yh[:, -1], yl[:, -1], *self.scale)
+
+    def _pairs(self, k: int):
+        """The float64 eigenpairs of the leading K = max(3k, MIN_BASIS) ranks (at most m), descending."""
+        count = min(max(3 * k, MIN_BASIS), self.m)
+        if self.values is None or self.values.size < count:
+            unit = Interval(0.0, 1.0)
+            system = assemble(Kernel(self.r, unit), build_grid(unit, self.m))
+            self.values, self.vectors = _solve(system, count, vectors=True)
+        return self.values, self.vectors
 
     def _residual(self, xh, xl):
         """Rayleigh quotient theta of x and the residual A x - theta x, in double-double."""
-        yh, yl = matvec_dd(self.hi, self.lo, xh, xl)
+        yh, yl = self.matvec(xh, xl)
         th, tl = _div(*_dot(xh, xl, yh, yl), *_dot(xh, xl, xh, xl))
-        ph, pl = _mul(th[0], tl[0], xh, xl)
+        ph, pl = _mul(th, tl, xh, xl)
         rh, rl = _add(yh, yl, -ph, -pl)
-        return th[0], rh + rl
-
-    def _gap(self, pos: int, theta: float) -> float:
-        """Distance from theta to the other eigenvalues."""
-        others = np.delete(self.values, pos)
-        return float(np.abs(others - theta).min()) if others.size else float(self.values[-1])
+        return th, rh + rl
 
     def refine(self, pair: Eigenpair) -> Eigenpair:
         """The rank-k eigenpair of the exact [0, 1] collocation matrix, to double-double accuracy.
@@ -228,19 +212,24 @@ class ExtendedSystem:
         beyond = f"rank {k} is beyond float64 precision"
         if not np.isfinite(pair.error_bound):
             raise NumericalError(f"{beyond}: its float64 eigenvalue gap is within rounding")
-        self._build()
-        w, Q = self.values, self.vectors
-        pos = m - k
-        lam1 = w[-1]
+        w, Q = self._pairs(k)
+        pos = k - 1
+        lam1 = w[0]
         margin = GAP_MARGIN * _EPS * lam1
-        gap = self._gap(pos, w[pos])
-        if gap <= 2 * margin:
+
+        def gap(theta):
+            # distance to the other eigenvalues; the rest of the spectrum lies below w[-1]
+            others = np.delete(w, pos)
+            return float(np.abs(others - theta).min()) if others.size else float(lam1)
+
+        gap_k = gap(w[pos])
+        if gap_k <= 2 * margin:
             raise NumericalError(
-                f"{beyond}: its eigenvalue gap {gap / lam1:.1e}*lambda_1 is below the "
+                f"{beyond}: its eigenvalue gap {gap_k / lam1:.1e}*lambda_1 is below the "
                 f"{2 * margin / lam1:.1e}*lambda_1 that a float64 correction resolves"
             )
         mismatch = f"the float64 pair is not the rank-{k} eigenpair of the r={self.r} matrix with m={m}"
-        if not abs(pair.value - w[pos]) < gap / 2:
+        if not abs(pair.value - w[pos]) < gap_k / 2:
             raise NumericalError(
                 f"{mismatch}: its eigenvalue {pair.value:.6e} is not nearest to {w[pos]:.6e}"
             )
@@ -249,21 +238,23 @@ class ExtendedSystem:
         previous = np.inf
         for _ in range(MAX_STEPS):
             theta, resid = self._residual(xh, xl)
+            # (A - theta)^-1 on the leading pairs, less the pair's own term, and
+            # -1/theta on their complement, where A is taken as 0
             denom = w - theta
             denom[pos] = np.inf
-            delta = -(Q @ ((Q.T @ resid) / denom))
+            coef = Q.T @ resid
+            delta = (resid - Q @ coef) / theta - Q @ (coef / denom)
             xh, xl = _add(xh, xl, delta, 0.0)
             size = float(np.linalg.norm(delta))
             if size > previous / 2:
                 break  # converged to the double-double noise level
             previous = size
         theta, resid = self._residual(xh, xl)
-        # The matrix is entrywise positive, so its entrywise relative error
-        # DD_ENTRY_REL bounds its norm error by DD_ENTRY_REL * lambda_1.
+        # the product is within DD_ENTRY_REL * lambda_1 * ||x|| of the exact one
         residual = float(np.linalg.norm(resid)) + DD_ENTRY_REL * lam1 * float(np.linalg.norm(xh))
         peak = float(np.abs(xh).max())
         # in units of the largest sample, plus the rounding of the samples to float64
-        bound = residual / (self._gap(pos, theta) - margin) / peak + _EPS
+        bound = residual / (gap(theta) - margin) / peak + _EPS
         vh, _ = _div(xh, xl, peak, 0.0)
         # both sample sets lie within their bounds of the exact eigenvector
         moved = float(np.abs(vh - pair.vector).max())

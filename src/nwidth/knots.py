@@ -203,7 +203,7 @@ def extract_knots(pair: Eigenpair, grid: Grid, tol: float | None = None, *, r: i
     """Locate and refine all zeros of the rank-k eigenfunction.
 
     `pair` is an eigenpair of the order-r kernel on `grid`; r labels the
-    report and selects the double-double matrix for refinement.  Exactly
+    report and selects the double-double operator for refinement.  Exactly
     k-1 zeros must appear, each with an estimated error within tol, which
     defaults to 1e-10 * (b-a).  A pair with a nonzero error bound that
     stands in the way is refined beyond float64 first.  Raises
@@ -215,8 +215,8 @@ def extract_knots(pair: Eigenpair, grid: Grid, tol: float | None = None, *, r: i
     """
     if tol is None:
         tol = DEFAULT_TOL_SCALE * float(grid.nodes[-1] - grid.nodes[0])
-    if tol <= 0:
-        raise ValidationError("refinement tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"refinement tolerance must be positive and finite, got {tol}")
     try:
         zeros, error = _zeros(pair, grid, tol)
     except _Unresolved as exc:

@@ -3,7 +3,8 @@
 Everything here is deliberately written apart from the package code
 paths: a Jacobi-rotation eigensolver, a Cox-de Boor evaluator of a
 single B-spline, the de Boor form of the kernel and its collocation
-matrix, LAPACK's dense symmetric eigensolver (eigenvalues, and
+matrix (in float64, and in double-double with the dense refinement of
+eigenpairs against it), LAPACK's dense symmetric eigensolver (eigenvalues, and
 eigenpairs with their sample error bounds), scipy's brentq polish of a
 knot on its local cubic, closed-form kernels, a piecewise-polynomial
 construction of the Green's function, the exact eigenvalues of the r=1
@@ -17,10 +18,15 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
+
+from nwidth.eigensolver import GAP_MARGIN, Eigenpair
+from nwidth.errors import NumericalError, ValidationError
+from nwidth.extended import DD_ENTRY_REL, MAX_STEPS, _add, _dd_of, _div, _dot, _mul, _two_prod
 
 
 def jacobi_eigh(A, max_sweeps=30, tol=1e-15):
@@ -219,6 +225,164 @@ def deboor_matrix(r, interval, m):
     A[iu, ju] = h * (scale[ju] * bspline_factor(r, a, b, inner[ju], inner[iu]))
     A += np.triu(A, 1).T
     return A
+
+
+# The de Boor form in double-double: the collocation matrix on [0, 1]
+# with exact nodes t_i = i/(m+1), every coefficient of de Boor's
+# recurrence a ratio of integers and the recurrence forming only convex
+# combinations of nonnegative numbers, so each entry carries a relative
+# error of a few units of 2^-104.  With its dense product and refinement
+# through the full eigendecomposition of its leading part, it is the
+# package's former refinement path, kept as the reference that the
+# refinement on the kernel's generators (`nwidth.extended`) is gated
+# against.  The double-double arithmetic is the package's.
+
+
+def _ratio(p, q):
+    """Integer arrays p/q as double-double (p, q exact in float64)."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    hi = p / q
+    ph, pl = _two_prod(hi, q)
+    return hi, ((p - ph) - pl) / q
+
+
+def _bspline_dd(r, i, j, n):
+    """B[0,..,0,t_j,1,..,1](t_i) on nodes t = k/n, for i <= j, in double-double."""
+    p = 2 * r - 1
+    ay = _ratio(i, j)
+    by = _ratio(j - i, j)
+    ab = _ratio(i, np.full(i.shape, n))
+    bb = _ratio(n - i, np.full(i.shape, n))
+    dh = np.zeros((p + 1,) + i.shape)
+    dl = np.zeros((p + 1,) + i.shape)
+    dh[r] = 1.0
+    for lev in range(1, p + 1):
+        for k in range(min(p, r + lev), max(lev, r) - 1, -1):
+            al, be = (ay, by) if k == lev else (ab, bb)
+            uh, ul = _mul(be[0], be[1], dh[k - 1], dl[k - 1])
+            vh, vl = _mul(al[0], al[1], dh[k], dl[k])
+            dh[k], dl[k] = _add(uh, ul, vh, vl)
+    return dh[p], dl[p]
+
+
+@functools.lru_cache(maxsize=8)
+def assemble_dd(r, m):
+    """The collocation matrix h * g(t_k, t_l) on [0, 1] as read-only hi + lo float64 matrices.
+
+    g(x, y) = g(1-y, 1-x), so only the entries with k <= l and
+    k + l <= m+1 are evaluated and the rest are mirrored, which makes the
+    result exactly persymmetric.
+    """
+    n = m + 1
+    # prefactor h * t^r (1-t)^r / (2r-1)! of column t = j/n, exact then rounded
+    den = n ** (2 * r + 1) * math.factorial(2 * r - 1)
+    scale = np.array([_dd_of(Fraction(j**r * (n - j) ** r, den)) for j in range(1, m + 1)])
+    iu, ju = np.triu_indices(m)
+    keep = iu + ju <= m - 1
+    iu, ju = iu[keep], ju[keep]
+    hi = np.zeros((m, m))
+    lo = np.zeros((m, m))
+    block = 1 << 15
+    for start in range(0, iu.size, block):
+        rows, cols = iu[start : start + block], ju[start : start + block]
+        bh, bl = _bspline_dd(r, rows + 1, cols + 1, n)
+        hi[rows, cols], lo[rows, cols] = _mul(scale[cols, 0], scale[cols, 1], bh, bl)
+    for part in (hi, lo):
+        part[m - 1 - ju, m - 1 - iu] = part[iu, ju]
+        part += np.triu(part, 1).T
+        part.setflags(write=False)
+    return hi, lo
+
+
+def _rowsum(hi, lo):
+    """Row sums of double-double matrices by pairwise double-double addition."""
+    while hi.shape[1] > 1:
+        if hi.shape[1] % 2:
+            pad = np.zeros((hi.shape[0], 1))
+            hi = np.hstack((hi, pad))
+            lo = np.hstack((lo, pad))
+        hi, lo = _add(hi[:, 0::2], lo[:, 0::2], hi[:, 1::2], lo[:, 1::2])
+    return hi[:, 0], lo[:, 0]
+
+
+def matvec_dd(hi, lo, xh, xl):
+    """(hi + lo) @ (xh + xl) in double-double."""
+    m = hi.shape[0]
+    yh = np.empty(m)
+    yl = np.empty(m)
+    for start in range(0, m, 64):
+        p, e = _two_prod(hi[start : start + 64], xh)
+        yh[start : start + 64], yl[start : start + 64] = _rowsum(p, e)
+    small = hi @ xl + lo @ xh
+    return _add(yh, yl, small, np.zeros(m))
+
+
+class DenseExtendedSystem:
+    """Refinement against `assemble_dd`, corrected through the full eigendecomposition of its hi part.
+
+    `refine` takes and returns what `nwidth.extended.ExtendedSystem.refine`
+    does, and raises where it should: on a mismatched rank, below a gap of
+    2 GAP_MARGIN eps lambda_1, and on a pair of another rank or order.
+    """
+
+    def __init__(self, r, m):
+        self.r = r
+        self.m = m
+        self.hi, self.lo = assemble_dd(r, m)
+        self.values, self.vectors = np.linalg.eigh(self.hi)
+
+    def _residual(self, xh, xl):
+        yh, yl = matvec_dd(self.hi, self.lo, xh, xl)
+        th, tl = _div(*_dot(xh, xl, yh, yl), *_dot(xh, xl, xh, xl))
+        ph, pl = _mul(th, tl, xh, xl)
+        rh, rl = _add(yh, yl, -ph, -pl)
+        return th, rh + rl
+
+    def _gap(self, pos, theta):
+        others = np.delete(self.values, pos)
+        return float(np.abs(others - theta).min()) if others.size else float(self.values[-1])
+
+    def refine(self, pair):
+        eps = np.finfo(float).eps
+        m = self.m
+        k = pair.index
+        if not 1 <= k <= m or len(pair.vector) != m:
+            raise ValidationError(f"no rank-{k} pair with {len(pair.vector)} samples in a system with m={m}")
+        if not np.isfinite(pair.error_bound):
+            raise NumericalError(f"rank {k} is beyond float64 precision")
+        w, Q = self.values, self.vectors
+        pos = m - k
+        lam1 = w[-1]
+        margin = GAP_MARGIN * eps * lam1
+        gap = self._gap(pos, w[pos])
+        if gap <= 2 * margin:
+            raise NumericalError(f"rank {k} is beyond float64 precision")
+        if not abs(pair.value - w[pos]) < gap / 2:
+            raise NumericalError(f"the float64 pair is not the rank-{k} eigenpair: eigenvalue")
+        xh = Q[:, pos] if np.dot(Q[:, pos], pair.vector) >= 0 else -Q[:, pos]
+        xl = np.zeros(m)
+        previous = np.inf
+        for _ in range(MAX_STEPS):
+            theta, resid = self._residual(xh, xl)
+            denom = w - theta
+            denom[pos] = np.inf
+            delta = -(Q @ ((Q.T @ resid) / denom))
+            xh, xl = _add(xh, xl, delta, 0.0)
+            size = float(np.linalg.norm(delta))
+            if size > previous / 2:
+                break
+            previous = size
+        theta, resid = self._residual(xh, xl)
+        # the matrix is entrywise positive, so its entrywise relative error
+        # DD_ENTRY_REL bounds its norm error by DD_ENTRY_REL * lambda_1
+        residual = float(np.linalg.norm(resid)) + DD_ENTRY_REL * lam1 * float(np.linalg.norm(xh))
+        peak = float(np.abs(xh).max())
+        bound = residual / (self._gap(pos, theta) - margin) / peak + eps
+        vh, _ = _div(xh, xl, peak, 0.0)
+        if not float(np.abs(vh - pair.vector).max()) <= pair.error_bound + bound:
+            raise NumericalError(f"the float64 pair is not the rank-{k} eigenpair: samples")
+        return Eigenpair(index=k, value=float(theta), vector=vh, error_bound=bound)
 
 
 def dense_top_eigenvalues(A, count):

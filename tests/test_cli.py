@@ -64,6 +64,12 @@ def test_rejects_bad_inputs():
         ["compute", "--r", "25", "--n", "25"],
         ["knots", "--r", "1", "--k", "0"],
         ["convergence", "--r", "1", "--h-list", "0.1,nope"],
+        ["convergence", "--r", "1", "--h-list", "nan"],
+        ["convergence", "--r", "1", "--h-ref", "inf"],
+        ["convergence", "--r", "1", "--h-list", "2^2000"],
+        ["convergence", "--r", "1", "--h-list", "2^-2000"],
+        ["knots", "--r", "1", "--k", "2", "--tol", "nan"],
+        ["knots", "--r", "1", "--k", "2", "--tol", "inf"],
         ["compute", "--r", "1", "--n", "1", "--threads", "0"],
     ):
         with pytest.raises(SystemExit) as err:

@@ -1,13 +1,65 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nwidth import Eigenpair, Interval, Kernel, NumericalError, assemble, build_grid, top_eigenpairs
-from nwidth.extended import ExtendedSystem, assemble_dd, matvec_dd
+from nwidth import (
+    Eigenpair, Interval, Kernel, NumericalError, ValidationError, assemble, build_grid, top_eigenpairs,
+)
+from nwidth.extended import DD_ENTRY_REL, ExtendedSystem
+
+from oracles import DenseExtendedSystem, assemble_dd, matvec_dd
 
 UNIT = Interval(0.0, 1.0)
 EPS = np.finfo(float).eps
+
+
+def exact_matrix(r, m):
+    """The [0, 1] collocation matrix of (r, m) in exact rationals, from the kernel's closed form."""
+    n = m + 1
+    den = math.factorial(2 * r - 1) * n ** (4 * r - 1)
+    A = [[None] * m for _ in range(m)]
+    for k in range(1, n):
+        for l in range(k, n):
+            total = sum((-1) ** i * math.comb(2 * r - 1, r - 1 - i) * k ** (r + i) * (n - k) ** (r - 1 - i)
+                        * l ** (r - 1 - i) * (n - l) ** (r + i) for i in range(r))
+            A[k - 1][l - 1] = A[l - 1][k - 1] = Fraction(total, den)
+    return A
+
+
+@pytest.mark.parametrize("m", [9, 31])
+@pytest.mark.parametrize("r", [1, 3, 7, 12, 20])
+def test_generator_product_matches_exact_rationals(r, m):
+    # measured at most 0.40 eps^2 lambda_1 ||x||
+    A = exact_matrix(r, m)
+    lam1 = np.linalg.eigvalsh(np.array(A, dtype=float))[-1]
+    extended = ExtendedSystem(r, m)
+    rng = np.random.default_rng(100 * r + m)
+    for _ in range(3):
+        xh = rng.standard_normal(m)
+        xl = xh * EPS * rng.uniform(-0.5, 0.5, m)
+        yh, yl = extended.matvec(xh, xl)
+        x = [Fraction(h) + Fraction(lo) for h, lo in zip(xh, xl)]
+        err = [float(sum(a * v for a, v in zip(row, x)) - Fraction(h) - Fraction(lo))
+               for row, h, lo in zip(A, yh, yl)]
+        assert np.linalg.norm(err) <= DD_ENTRY_REL * lam1 * np.linalg.norm(xh)
+
+
+@pytest.mark.parametrize("m", [240, 500])
+def test_generator_product_matches_the_deboor_oracle(m):
+    # random vectors and eigenvectors; measured at most 0.88 eps^2 lambda_1 ||x||
+    rng = np.random.default_rng(m)
+    for r in (1, 4, 10, 20):
+        hi, lo = assemble_dd(r, m)
+        w, V = np.linalg.eigh(hi)
+        extended = ExtendedSystem(r, m)
+        for xh in [rng.standard_normal(m) for _ in range(3)] + [V[:, -k] for k in (1, 5, 20)]:
+            xl = np.zeros(m)
+            (ah, al), (bh, bl) = extended.matvec(xh, xl), matvec_dd(hi, lo, xh, xl)
+            err = np.linalg.norm((ah - bh) + (al - bl))
+            assert err <= DD_ENTRY_REL * w[-1] * np.linalg.norm(xh), f"r={r}"
 
 
 @pytest.mark.parametrize("r", [1, 3, 7])
@@ -112,3 +164,53 @@ def test_refinement_refuses_ranks_beyond_float64():
     pairs = top_eigenpairs(assemble(Kernel(20, iv), build_grid(iv, 240)), 15)
     with pytest.raises(NumericalError, match="beyond float64 precision"):
         ExtendedSystem(20, 240).refine(pairs[14])
+
+
+def test_refinement_rejects_a_pair_of_another_mesh():
+    pairs = top_eigenpairs(assemble(Kernel(4, UNIT), build_grid(UNIT, 60)), 3)
+    with pytest.raises(ValidationError, match="60 samples in a system with m=61"):
+        ExtendedSystem(4, 61).refine(pairs[2])
+
+
+@pytest.mark.parametrize("r", [1, 4, 10, 20])
+def test_refinement_agrees_with_the_dense_oracle(r):
+    # both refine the same pairs, within the sum of their bounds (measured at
+    # most 0.50 of it), and refuse the same: at r=10 and 20 the top ranks,
+    # whose gaps are within the float64 resolution of lambda_1
+    iv = Interval(-1.0, 1.0)
+    m = 240
+    pairs = top_eigenpairs(assemble(Kernel(r, iv), build_grid(iv, m)), 24)
+    systems = ExtendedSystem(r, m), DenseExtendedSystem(r, m)
+    refused = []
+    for pair in pairs:
+        refined = []
+        for system in systems:
+            try:
+                refined.append(system.refine(pair))
+            except NumericalError:
+                refined.append(None)
+        assert (refined[0] is None) == (refined[1] is None), f"rank {pair.index}"
+        if refined[0] is None:
+            refused.append(pair.index)
+            continue
+        new, old = refined
+        moved = np.abs(new.vector - old.vector).max()
+        assert moved <= new.error_bound + old.error_bound, f"rank {pair.index}"
+    assert bool(refused) == (r >= 10)
+
+
+def test_refinement_forms_no_m_by_m_array():
+    # the de Boor path held two m x m matrices and the eigenvectors of one;
+    # the generators and the Lanczos pairs peaked at 6.6 MiB of the 16 MiB limit
+    iv = Interval(-1.0, 1.0)
+    m = 2047
+    pairs = top_eigenpairs(assemble(Kernel(10, iv), build_grid(iv, m)), 22)
+    tracemalloc.start()
+    try:
+        extended = ExtendedSystem(10, m)
+        for pair in pairs[20:]:
+            extended.refine(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 / 2

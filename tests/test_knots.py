@@ -270,9 +270,11 @@ def test_colliding_zeros_rejected_for_huge_tolerance():
 
 
 def test_tolerance_must_be_positive():
+    # and finite: a nan tolerance would pass every check, an infinite one collide
     grid, pairs = pairs_for(1, 50, 1)
-    with pytest.raises(ValidationError):
-        extract_knots(pairs[0], grid, tol=0.0, r=1)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            extract_knots(pairs[0], grid, tol=tol, r=1)
 
 
 def test_curve_csv_single_node():

@@ -13,10 +13,9 @@ from nwidth import (
     top_eigenvalues,
 )
 from nwidth._io import fmt
-from nwidth.extended import assemble_dd
 from nwidth.nystrom import matrix_text
 
-from oracles import deboor_matrix, dense_top_eigenvalues, kernel_r1, kernel_r2
+from oracles import assemble_dd, deboor_matrix, dense_top_eigenvalues, kernel_r1, kernel_r2
 
 UNIT = Interval(0.0, 1.0)
 EPS = np.finfo(float).eps
