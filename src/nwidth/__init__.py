@@ -21,7 +21,7 @@ from .convergence import ConvergenceStudy, run_study
 from .eigensolver import Eigenpair, eigenfunction_values, top_eigenpairs, top_eigenvalues
 from .errors import NumericalError, NWidthError, ValidationError
 from .kernel import Interval, Kernel, kernel_eval
-from .knots import KnotReport, extract_knots
+from .knots import KnotReport, extract_knots, knot_reports
 from .nwidths import (
     NWidthResult,
     conjecture_table,
@@ -54,6 +54,7 @@ __all__ = [
     "eigenfunction_values",
     "extract_knots",
     "kernel_eval",
+    "knot_reports",
     "nwidth_rows",
     "proven_bounds",
     "run_study",

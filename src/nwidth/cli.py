@@ -33,7 +33,7 @@ from .convergence import (
 from .eigensolver import top_eigenpairs
 from .errors import NumericalError, ValidationError
 from .kernel import Interval, Kernel, MAX_R
-from .knots import KNOTS_CSV_HEADER, curve_csv, extract_knots, knot_rows, knots_csv
+from .knots import KNOTS_CSV_HEADER, curve_csv, knot_reports, knot_rows, knots_csv
 from .nwidths import conjecture_table, nwidth_rows, results_csv, results_records
 from .nystrom import assemble, build_grid, matrix_text
 
@@ -143,8 +143,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="nwidth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_m=True):
-        p.add_argument("--r", type=int, default=1, help="derivative order r >= 1 (default 1)")
+    def common(p, with_m=True, with_r=True):
+        if with_r:
+            p.add_argument("--r", type=int, default=1, help="derivative order r >= 1 (default 1)")
         if with_m:
             p.add_argument("--m", type=int, default=DEFAULT_M,
                            help=f"interior node count (default {DEFAULT_M}, h=(b-a)/2048)")
@@ -159,8 +160,10 @@ def _build_parser() -> _Parser:
                    help="also dump the solved matrix to this file: the [0,1] matrix of (r, m), "
                         "which (b-a)^(2r) scales to [a,b]")
 
-    p = sub.add_parser("conjecture-table", help="relative error to the conjectured value, r=1..r-max")
-    common(p)
+    # no abbreviations here: --r would pass for --r-max
+    p = sub.add_parser("conjecture-table", help="relative error to the conjectured value, r=1..r-max",
+                       allow_abbrev=False)
+    common(p, with_r=False)
     p.add_argument("--r-max", type=int, default=20, dest="r_max", help="largest r (default 20)")
 
     p = sub.add_parser("convergence", help="mesh-refinement study against a fine reference")
@@ -305,12 +308,12 @@ def _run_convergence(config: RunConfig) -> None:
 
 def _top_pairs(config: RunConfig) -> tuple:
     system = assemble(Kernel(config.r, config.interval), build_grid(config.interval, config.m))
-    return system.grid, top_eigenpairs(system, max(config.k_values))
+    return system, top_eigenpairs(system, max(config.k_values))
 
 
 def _run_knots(config: RunConfig) -> None:
-    grid, pairs = _top_pairs(config)
-    reports = [extract_knots(pairs[k - 1], grid, config.tol, r=config.r) for k in config.k_values]
+    system, pairs = _top_pairs(config)
+    reports = knot_reports([pairs[k - 1] for k in config.k_values], system, config.tol)
     if config.fmt == "json":
         _write(config.out, write_rows(KNOTS_CSV_HEADER, knot_rows(reports), "json"))
     else:
@@ -318,7 +321,8 @@ def _run_knots(config: RunConfig) -> None:
 
 
 def _run_eigenfunctions(config: RunConfig) -> None:
-    grid, pairs = _top_pairs(config)
+    system, pairs = _top_pairs(config)
+    grid = system.grid
     selected = [pairs[k - 1] for k in config.k_values]
     if config.fmt == "json":
         payload = [

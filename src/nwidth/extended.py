@@ -7,48 +7,50 @@ single correct digit.  This module carries about 32 significant digits
 instead: every number is an unevaluated sum hi + lo of two float64 arrays
 (double-double; Dekker 1971, Hida, Li and Bailey 2001).
 
-The operator is the one `nwidth.nystrom` solves, on its rank-r
+The operator is that of the run's own `NystromSystem`, held on its rank-r
 generators: on the integer nodes k = 1..m of [0, m+1] the [0, 1] matrix
 is, on and above its diagonal, A_kl = s sum_i X_i(k) Y_i(l) with
 
     X_i(k) = k^(r+i) (m+1-k)^(r-1-i),   s = 1 / ((2r-1)! (m+1)^(4r-1)),
     Y_i(l) = (-1)^i C(2r-1, r-1-i) l^(r-1-i) (m+1-l)^(r+i).
 
-Each generator is formed exactly as a Python integer and split into
-hi + lo after a power-of-two scaling, and s is applied once.  A product
-is the two cumulative sums of `NystromSystem.matvec`, each a log-depth
-scan in double-double (Hillis and Steele, *Comm. ACM* 29, 1986): O(m r)
-memory, no m x m array.
+With 2^e > m+1 every k 2^-e is exact in float64; X_i is formed from
+the powers of these bases in double-double (each power the one before
+times the base), Y_i as (-1)^i C(2r-1, r-1-i) X_i(m+1-l), and s, with
+the powers of two put back, is rounded once from exact integers.  A
+product is the two cumulative sums of `NystromSystem.matvec`, each a
+log-depth scan in double-double (Hillis and Steele, *Comm. ACM* 29,
+1986): O(m r) memory, no m x m array.
 
 `ExtendedSystem.refine` runs residual-correction iterations: the residual
 is formed in double-double, and the correction is solved in float64 on
-the leading K = max(3k, MIN_BASIS) pairs of the float64 Lanczos solver,
-with the matrix taken as zero on their complement.  Each step shrinks
-the error by about eps lambda_1 / gap_k + lambda_(K+1) / lambda_k, so
-ranks whose gap exceeds the float64 resolution of lambda_1 converge to
-double-double accuracy; for the others the refinement raises.
+the leading K = max(3 k_max, MIN_BASIS) pairs of the run's system, solved
+once for every rank up to k_max, with the matrix taken as zero on their
+complement.  Each step shrinks the error by about
+eps lambda_1 / gap_k + lambda_(K+1) / lambda_k, so ranks whose gap
+exceeds the float64 resolution of lambda_1 converge to double-double
+accuracy; for the others the refinement raises.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .eigensolver import GAP_MARGIN, MIN_BASIS, Eigenpair, _solve
 from .errors import NumericalError, ValidationError
-from .kernel import Interval, Kernel
-from .nystrom import assemble, build_grid
+from .nystrom import NystromSystem
 
 _EPS = float(np.finfo(np.float64).eps)
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 #: Bound on the error of the double-double product with the exact matrix,
 #: per unit of lambda_1 ||x|| (2-norms).  The generators alternate in sign,
-#: so it is normwise, not entrywise: measured at most 0.40 eps^2 against
-#: exact rational entries (r = 1, 3, 7, 12, 20; m = 9, 31) and 0.88 eps^2
+#: so it is normwise, not entrywise: measured at most 0.43 eps^2 against
+#: exact rational entries (r = 1, 3, 7, 12, 20; m = 9, 31) and 0.93 eps^2
 #: against the de Boor double-double matrix of the tests (r = 1, 4, 10, 20;
-#: m = 240, 500).
+#: m = 240, 500).  Each generator lies within a few eps^2 of its exact
+#: value (at most 1.1 eps^2 over r = 1..20, m = 9..2047, sampled).
 DD_ENTRY_REL = 64 * _EPS * _EPS
 #: Cap on residual-correction steps; each one shrinks the error at least twofold.
 MAX_STEPS = 40
@@ -93,11 +95,6 @@ def _div(ah, al, bh, bl):
     return _two_sum(q, (rh + rl) / bh)
 
 
-def _dd_of(x: Fraction) -> tuple[float, float]:
-    hi = float(x)
-    return hi, float(x - Fraction(hi))
-
-
 def _dot(xh, xl, yh, yl):
     p, e = _two_prod(xh, yh)
     h, l = _cumsum(p, e + (xh * yl + xl * yh))
@@ -122,48 +119,31 @@ def _cumsum(hi, lo):
 # ---------------------------------------------------------------- generators
 
 
-def _hi_lo(v: int, e: int, den: int) -> tuple[float, float]:
-    # the leading 53 bits of v, exact, and the rest, rounded once
-    t = max(v.bit_length() - 53, 0)
-    top = v >> t
-    return math.ldexp(top, t - e), (v - (top << t)) / den
-
-
-def _generator(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integers times 2^-e as hi + lo arrays, for the e that puts the largest in [1/2, 1).
-
-    hi holds each integer's leading 53 bits and lo the rest, rounded once,
-    so hi + lo carries it to a relative 2^-105, also where the integer
-    itself lies beyond the float64 range.
-    """
-    e = max(abs(v) for row in rows for v in row).bit_length()
-    den = 1 << e
-    hi = np.empty((len(rows), len(rows[0])))
-    lo = np.empty_like(hi)
-    for i, row in enumerate(rows):
-        hi[i], lo[i] = np.array([_hi_lo(v, e, den) for v in row]).T
-    return hi, lo, e
-
-
 class ExtendedSystem:
-    """The [0, 1] collocation matrix of (r, m) as double-double generators, and float64 eigenpairs.
+    """A run's `NystromSystem` in double-double, with the float64 pairs that refine its ranks up to k_max."""
 
-    The generators are formed on construction; the eigenpairs on the first
-    `refine` call, again only when a later rank needs more of them.
-    """
-
-    def __init__(self, r: int, m: int):
-        self.r = r
-        self.m = m
+    def __init__(self, system: NystromSystem, k_max: int):
+        r, m = system.kernel.r, system.grid.m
+        self.r, self.m, self.k_max = r, m, min(k_max, m)
         n = m + 1
-        ks = range(1, n)
-        coef = [(-1) ** i * math.comb(2 * r - 1, r - 1 - i) for i in range(r)]
-        self.Xh, self.Xl, ex = _generator([[k ** (r + i) * (n - k) ** (r - 1 - i) for k in ks]
-                                           for i in range(r)])
-        self.Yh, self.Yl, ey = _generator([[coef[i] * k ** (r - 1 - i) * (n - k) ** (r + i) for k in ks]
-                                           for i in range(r)])
-        self.scale = _dd_of(Fraction(2 ** (ex + ey), math.factorial(2 * r - 1) * n ** (4 * r - 1)))
-        self.values = self.vectors = None
+        e = n.bit_length()  # 2^e > n: every base k 2^-e and (n-k) 2^-e is exact
+        u = np.ldexp(np.arange(1.0, n), -e)
+        Ph, Pl = np.ones((2 * r, m)), np.zeros((2 * r, m))
+        for j in range(1, 2 * r):
+            Ph[j], Pl[j] = _mul(Ph[j - 1], Pl[j - 1], u, 0.0)
+        up = np.arange(r, 2 * r)
+        down = up[::-1] - r
+        # the powers of (n-k) 2^-e are those of k 2^-e, reversed
+        self.Xh, self.Xl = _mul(Ph[up], Pl[up], Ph[down, ::-1], Pl[down, ::-1])
+        coef = np.array([[(-1) ** i * math.comb(2 * r - 1, r - 1 - i)] for i in range(r)], dtype=float)
+        # Y_i(l) = coef_i X_i(n-l), by persymmetry
+        self.Yh, self.Yl = _mul(coef, 0.0, self.Xh[:, ::-1], self.Xl[:, ::-1])
+        # s times the 2^(2e(2r-1)) taken out; int / int is correctly rounded
+        num, den = 2 ** (2 * e * (2 * r - 1)), math.factorial(2 * r - 1) * n ** (4 * r - 1)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        self.scale = hi, (num * q - p * den) / (den * q)
+        self.values, self.vectors = _solve(system, min(max(3 * k_max, MIN_BASIS), m), vectors=True)
 
     def matvec(self, xh: np.ndarray, xl: np.ndarray):
         """A (xh + xl) in double-double, from the two cumulative sums of `NystromSystem.matvec`.
@@ -178,15 +158,6 @@ class ExtendedSystem:
         yh, yl = _cumsum(yh.T, yl.T)
         return _mul(yh[:, -1], yl[:, -1], *self.scale)
 
-    def _pairs(self, k: int):
-        """The float64 eigenpairs of the leading K = max(3k, MIN_BASIS) ranks (at most m), descending."""
-        count = min(max(3 * k, MIN_BASIS), self.m)
-        if self.values is None or self.values.size < count:
-            unit = Interval(0.0, 1.0)
-            system = assemble(Kernel(self.r, unit), build_grid(unit, self.m))
-            self.values, self.vectors = _solve(system, count, vectors=True)
-        return self.values, self.vectors
-
     def _residual(self, xh, xl):
         """Rayleigh quotient theta of x and the residual A x - theta x, in double-double."""
         yh, yl = self.matvec(xh, xl)
@@ -198,8 +169,8 @@ class ExtendedSystem:
     def refine(self, pair: Eigenpair) -> Eigenpair:
         """The rank-k eigenpair of the exact [0, 1] collocation matrix, to double-double accuracy.
 
-        `pair` is the float64 pair of the same rank; the result is oriented
-        like it.  Raises NumericalError when the rank's eigenvalue gap is
+        `pair` is the float64 pair of the same rank, at most k_max; the
+        result is oriented like it.  Raises NumericalError when the rank's eigenvalue gap is
         within the float64 resolution of lambda_1, where no float64
         correction converges, and when `pair` is not this rank of this
         system: its eigenvalue must lie nearer to the rank's eigenvalue than
@@ -207,12 +178,13 @@ class ExtendedSystem:
         """
         m = self.m
         k = pair.index
-        if not 1 <= k <= m or len(pair.vector) != m:
-            raise ValidationError(f"no rank-{k} pair with {len(pair.vector)} samples in a system with m={m}")
+        if not 1 <= k <= self.k_max or len(pair.vector) != m:
+            raise ValidationError(f"no rank-{k} pair with {len(pair.vector)} samples in a system with m={m} "
+                                  f"and ranks up to {self.k_max}")
         beyond = f"rank {k} is beyond float64 precision"
         if not np.isfinite(pair.error_bound):
             raise NumericalError(f"{beyond}: its float64 eigenvalue gap is within rounding")
-        w, Q = self._pairs(k)
+        w, Q = self.values, self.vectors
         pos = k - 1
         lam1 = w[0]
         margin = GAP_MARGIN * _EPS * lam1

@@ -20,22 +20,23 @@ slope of the samples across its bracket.  A float64 pair whose sign
 pattern is uncertain, or whose estimated zero error exceeds the
 tolerance, is first refined to double-double accuracy
 (`nwidth.extended`): at high rank the float64 eigenvector is
-limited by eps * lambda_1 / gap_k, which no finer mesh improves.  No zero
-is returned whose estimated error exceeds the tolerance.
+limited by eps * lambda_1 / gap_k, which no finer mesh improves.  A run's
+pairs (`knot_reports`) share one such operator, built from their own
+`NystromSystem`.  No zero is returned whose estimated error exceeds the
+tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ._io import write_rows
 from .errors import NumericalError, ValidationError
 from .eigensolver import Eigenpair, eigenfunction_values
-from .nystrom import Grid
+from .nystrom import Grid, NystromSystem
 
 #: Samples this close to zero (vectors are max-normalized) count as uncertain
 #: even when the pair's error bound is smaller.
@@ -191,28 +192,36 @@ def _zeros(pair: Eigenpair, grid: Grid, tol: float) -> tuple[np.ndarray, float]:
     return np.array([_refine(nodes, vals, i, j) for i, j in brackets]), float(error)
 
 
-@lru_cache(maxsize=1)
-def _extended_system(r: int, m: int):
-    """The double-double system of (r, m), shared by the ranks of one run."""
-    from .extended import ExtendedSystem  # loaded only when a pair needs refining
+def _refiner(system: NystromSystem, k_max: int) -> Callable[[Eigenpair], Eigenpair]:
+    """Double-double refinement of `system`'s pairs up to rank k_max, on one operator built on first use."""
+    extended = None
 
-    return ExtendedSystem(r, m)
+    def refine(pair: Eigenpair) -> Eigenpair:
+        nonlocal extended
+        if extended is None:
+            from .extended import ExtendedSystem  # loaded only when a pair needs refining
+
+            extended = ExtendedSystem(system, k_max)
+        return extended.refine(pair)
+
+    return refine
 
 
-def extract_knots(pair: Eigenpair, grid: Grid, tol: float | None = None, *, r: int) -> KnotReport:
+def extract_knots(pair: Eigenpair, system: NystromSystem, tol: float | None = None, *,
+                  refine: Callable[[Eigenpair], Eigenpair] | None = None) -> KnotReport:
     """Locate and refine all zeros of the rank-k eigenfunction.
 
-    `pair` is an eigenpair of the order-r kernel on `grid`; r labels the
-    report and selects the double-double operator for refinement.  Exactly
-    k-1 zeros must appear, each with an estimated error within tol, which
-    defaults to 1e-10 * (b-a).  A pair with a nonzero error bound that
-    stands in the way is refined beyond float64 first.  Raises
-    NumericalError when the zeros stay unresolved: the rank is beyond
-    float64 precision (its eigenvalue gap is within rounding of lambda_1),
-    the mesh does not separate its zeros, tol is finer than even the
-    refined samples resolve, or the pair does not belong to the order-r
-    kernel on this grid.
+    `pair` is an eigenpair of `system`, whose kernel order labels the
+    report.  Exactly k-1 zeros must appear, each with an estimated error
+    within tol, which defaults to 1e-10 * (b-a).  A pair with a nonzero
+    error bound that stands in the way is refined beyond float64 first,
+    by `refine` or else on an operator built from `system` for its rank.
+    Raises NumericalError when the zeros stay unresolved: the rank is
+    beyond float64 precision (its eigenvalue gap is within rounding of
+    lambda_1), the mesh does not separate its zeros, tol is finer than
+    even the refined samples resolve, or the pair is not of `system`.
     """
+    grid = system.grid
     if tol is None:
         tol = DEFAULT_TOL_SCALE * float(grid.nodes[-1] - grid.nodes[0])
     if not 0 < tol < np.inf:
@@ -222,7 +231,7 @@ def extract_knots(pair: Eigenpair, grid: Grid, tol: float | None = None, *, r: i
     except _Unresolved as exc:
         if pair.error_bound == 0.0:
             raise NumericalError(f"{exc}; {exc.hint}") from None
-        refined = _extended_system(r, grid.m).refine(pair)
+        refined = (refine or _refiner(system, pair.index))(pair)
         try:
             zeros, error = _zeros(refined, grid, tol)
         except _Unresolved as exc2:
@@ -233,8 +242,16 @@ def extract_knots(pair: Eigenpair, grid: Grid, tol: float | None = None, *, r: i
     if zeros.size > 1 and np.any(np.diff(zeros) <= tol):
         raise NumericalError("adjacent zeros collide within the refinement tolerance")
     zeros.setflags(write=False)
-    return KnotReport(r=r, eigen_rank=pair.index, zeros=zeros, refinement_tol=float(tol),
+    return KnotReport(r=system.kernel.r, eigen_rank=pair.index, zeros=zeros, refinement_tol=float(tol),
                       error_estimate=error)
+
+
+def knot_reports(pairs: Sequence[Eigenpair], system: NystromSystem,
+                 tol: float | None = None) -> list[KnotReport]:
+    """`extract_knots` of each of a run's pairs, refining those that need it on one double-double
+    operator, built on the first of them and sized for the highest rank: one correction solve."""
+    refine = _refiner(system, max(pair.index for pair in pairs))
+    return [extract_knots(pair, system, tol, refine=refine) for pair in pairs]
 
 
 def knot_rows(reports: Iterable[KnotReport]) -> list[tuple]:

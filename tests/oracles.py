@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from nwidth.eigensolver import GAP_MARGIN, Eigenpair
 from nwidth.errors import NumericalError, ValidationError
-from nwidth.extended import DD_ENTRY_REL, MAX_STEPS, _add, _dd_of, _div, _dot, _mul, _two_prod
+from nwidth.extended import DD_ENTRY_REL, MAX_STEPS, _add, _div, _dot, _mul, _two_prod
 
 
 def jacobi_eigh(A, max_sweeps=30, tol=1e-15):
@@ -236,6 +236,12 @@ def deboor_matrix(r, interval, m):
 # package's former refinement path, kept as the reference that the
 # refinement on the kernel's generators (`nwidth.extended`) is gated
 # against.  The double-double arithmetic is the package's.
+
+
+def _dd_of(x):
+    """A Fraction as double-double."""
+    hi = float(x)
+    return hi, float(x - Fraction(hi))
 
 
 def _ratio(p, q):

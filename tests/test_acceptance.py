@@ -29,7 +29,7 @@ float64 pipeline alone cannot show what they claim:
 
 Criterion 8 needs the zeros of eigenvectors with lambda_k/lambda_1 down
 to 1.4e-14, whose float64 samples are off by up to 4.6e-3 of their
-maximum; `extract_knots` refines such pairs to double-double accuracy.
+maximum; `knot_reports` refines such pairs to double-double accuracy.
 """
 
 import csv
@@ -51,8 +51,8 @@ from nwidth import (
     assemble,
     build_grid,
     eigenfunction_values,
-    extract_knots,
     kernel_eval,
+    knot_reports,
     nwidth_rows,
     top_eigenpairs,
     top_eigenvalues,
@@ -268,8 +268,8 @@ def test_criterion_8_knot_extraction():
     def run_case(r, ranks):
         system = assemble(Kernel(r, SYM), grid)
         pairs = top_eigenpairs(system, max(ranks))
-        for k in ranks:
-            rep = extract_knots(pairs[k - 1], grid, r=r)
+        for rep in knot_reports([pairs[k - 1] for k in ranks], system):
+            k = rep.eigen_rank
             if rep.zeros.size != k - 1:
                 failures.append(f"r={r} k={k}: {rep.zeros.size} zeros, expected {k - 1}")
                 continue
@@ -287,7 +287,7 @@ def test_criterion_8_knot_extraction():
         run_case(r, [1, 2, 3, 4])
     # lambda_k/lambda_1 is 1.4e-14..5.6e-13 here: the float64 samples are off by
     # 2.3e-4..4.6e-3 of their maximum and show 30-36 sign changes, so these
-    # pairs pass through the double-double refinement of extract_knots.  The
+    # pairs pass through the double-double refinement of knot_reports.  The
     # eigenfunctions also vanish to order r at the ends: 1 (r=10) and 15-16
     # (r=20) samples per end lie below 1e-12, as boundary layer.
     for r, ranks in ((10, [21, 22]), (20, [11, 12])):

@@ -71,6 +71,8 @@ def test_rejects_bad_inputs():
         ["knots", "--r", "1", "--k", "2", "--tol", "nan"],
         ["knots", "--r", "1", "--k", "2", "--tol", "inf"],
         ["compute", "--r", "1", "--n", "1", "--threads", "0"],
+        # the table runs over r = 1..r-max; --r is no abbreviation of --r-max
+        ["conjecture-table", "--r", "7", "--r-max", "1", "--m", "63"],
     ):
         with pytest.raises(SystemExit) as err:
             parse(argv)

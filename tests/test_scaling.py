@@ -28,8 +28,8 @@ meshes = st.integers(31, 127)
 
 
 def pairs_on(interval, r, m, count):
-    grid = build_grid(interval, m)
-    return grid, top_eigenpairs(assemble(Kernel(r, interval), grid), count)
+    system = assemble(Kernel(r, interval), build_grid(interval, m))
+    return system, top_eigenpairs(system, count)
 
 
 @given(intervals, orders, meshes)
@@ -53,10 +53,10 @@ def test_rows_scale_exactly_with_the_span(interval, r, m):
 
 @given(intervals, orders, meshes, st.integers(2, 4))
 def test_knots_map_affinely_from_the_unit_interval(interval, r, m, k):
-    grid, pairs = pairs_on(interval, r, m, k)
-    unit_grid, unit = pairs_on(UNIT, r, m, k)
-    report = extract_knots(pairs[-1], grid, r=r)
-    ref = extract_knots(unit[-1], unit_grid, r=r)
+    system, pairs = pairs_on(interval, r, m, k)
+    unit_system, unit = pairs_on(UNIT, r, m, k)
+    report = extract_knots(pairs[-1], system)
+    ref = extract_knots(unit[-1], unit_system)
     mapped = (report.zeros - interval.a) / interval.span
     assert np.abs(mapped - ref.zeros).max() <= ref.refinement_tol
 
@@ -65,7 +65,7 @@ def test_knots_map_affinely_from_the_unit_interval(interval, r, m, k):
 def test_knots_are_mirror_symmetric_on_a_centred_interval(exponent, r, m, k):
     c = 10.0**exponent
     interval = Interval(-c, c)
-    grid, pairs = pairs_on(interval, r, m, k)
-    report = extract_knots(pairs[-1], grid, r=r)
+    system, pairs = pairs_on(interval, r, m, k)
+    report = extract_knots(pairs[-1], system)
     assert report.zeros.size == k - 1
     assert np.abs(report.zeros + report.zeros[::-1]).max() <= report.refinement_tol
