@@ -1,4 +1,8 @@
-"""Small I/O helpers: lossless float formatting, the one table writer, atomic file writes."""
+"""Small I/O helpers: lossless float formatting, the CSV table writer, the JSON writer, atomic file writes.
+
+JSON output is one compact line from the C encoder: every float is its
+shortest round-trip repr, and `records` turns non-finite values into null.
+"""
 
 import json
 import math
@@ -26,14 +30,30 @@ def records(header: str, rows) -> list[dict]:
     return [dict(zip(names, map(_json_value, row))) for row in rows]
 
 
+#: compact: no space after the item and key separators
+_SEPARATORS = (",", ":")
+
+
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The payload as one compact JSON line."""
+    return json.dumps(payload, separators=_SEPARATORS) + "\n"
 
 
-def write_rows(header: str, rows, form: str) -> str:
-    """One table as CSV (floats through `fmt`) or as a JSON list of objects."""
-    if form == "json":
-        return json_text(records(header, rows))
+def json_pieces(payload):
+    """`json_text(payload)` in pieces, one per item of a top-level list, so that
+    a long document can be written without building it as one string."""
+    if not isinstance(payload, list) or not payload:
+        yield json_text(payload)
+        return
+    sep = "["
+    for item in payload:
+        yield sep + json.dumps(item, separators=_SEPARATORS)
+        sep = ","
+    yield "]\n"
+
+
+def csv_text(header: str, rows) -> str:
+    """One table as CSV, floats through `fmt`."""
     lines = [header]
     lines += [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"

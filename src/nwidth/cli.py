@@ -3,7 +3,9 @@
 Subcommands: compute, conjecture-table, convergence, knots, eigenfunctions.
 Exit codes: 0 success, 1 validation error, 2 numerical failure (a rank
 beyond float64 resolution, or an eigensolve that exhausts its iteration
-budget) or out of memory.
+budget) or out of memory.  Output is CSV, or with --format json one
+compact JSON line whose floats round-trip and whose non-finite values are
+null.
 
 Eigenpairs come from a Lanczos solver in numpy on the O(m r) product of
 the collocation matrix, which is formed only for a dense solve of a large
@@ -20,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from ._io import atomic_write_text, json_text, records, write_rows
+from ._io import atomic_write_text, json_pieces, json_text, records
 from .convergence import (
     POINTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -150,7 +152,9 @@ def _build_parser() -> _Parser:
             p.add_argument("--m", type=int, default=DEFAULT_M,
                            help=f"interior node count (default {DEFAULT_M}, h=(b-a)/2048)")
         p.add_argument("--interval", default="0,1", help="endpoints 'a,b' (default 0,1)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",
+                       help="csv (default), or json: one compact line, floats that round-trip, "
+                            "null for non-finite values")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
 
     p = sub.add_parser("compute", help="n-width estimates for one r and a range of n")
@@ -262,6 +266,14 @@ def _write(out: str | None, text: str) -> None:
         atomic_write_text(out, text)
 
 
+def _write_json(out: str | None, payload) -> None:
+    # stdout takes the document a list item at a time, never built as one string
+    if out is None:
+        sys.stdout.writelines(json_pieces(payload))
+    else:
+        atomic_write_text(out, json_text(payload))
+
+
 def _sibling_path(out: str, tag: str) -> str:
     root, ext = os.path.splitext(out)
     return f"{root}_{tag}{ext or '.csv'}"
@@ -269,7 +281,7 @@ def _sibling_path(out: str, tag: str) -> str:
 
 def _write_results(config: RunConfig, rows) -> None:
     if config.fmt == "json":
-        _write(config.out, json_text(results_records(rows)))
+        _write_json(config.out, results_records(rows))
     else:
         _write(config.out, results_csv(rows))
 
@@ -295,7 +307,7 @@ def _run_convergence(config: RunConfig) -> None:
             "points": records(POINTS_CSV_HEADER, point_rows(study)),
             "summary": records(SUMMARY_CSV_HEADER, summary_rows(study)),
         }
-        _write(config.out, json_text(payload))
+        _write_json(config.out, payload)
         return
     if config.out is None:
         sys.stdout.write(points_csv(study))
@@ -315,7 +327,7 @@ def _run_knots(config: RunConfig) -> None:
     system, pairs = _top_pairs(config)
     reports = knot_reports([pairs[k - 1] for k in config.k_values], system, config.tol)
     if config.fmt == "json":
-        _write(config.out, write_rows(KNOTS_CSV_HEADER, knot_rows(reports), "json"))
+        _write_json(config.out, records(KNOTS_CSV_HEADER, knot_rows(reports)))
     else:
         _write(config.out, knots_csv(reports))
 
@@ -325,15 +337,9 @@ def _run_eigenfunctions(config: RunConfig) -> None:
     grid = system.grid
     selected = [pairs[k - 1] for k in config.k_values]
     if config.fmt == "json":
-        payload = [
-            {
-                "k": pair.index,
-                "x": grid.nodes.tolist(),
-                "phi": [0.0, *pair.vector.tolist(), 0.0],
-            }
-            for pair in selected
-        ]
-        _write(config.out, json_text(payload))
+        x = grid.nodes.tolist()
+        payload = [{"k": pair.index, "x": x, "phi": [0.0, *pair.vector.tolist(), 0.0]} for pair in selected]
+        _write_json(config.out, payload)
         return
     if config.out is None:
         for pair in selected:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import write_rows
+from ._io import csv_text
 from .errors import NumericalError, ValidationError
 from .eigensolver import top_eigenvalues
 from .kernel import Interval, Kernel
@@ -162,8 +162,8 @@ def summary_rows(study: ConvergenceStudy) -> list[tuple]:
 
 
 def points_csv(study: ConvergenceStudy) -> str:
-    return write_rows(POINTS_CSV_HEADER, point_rows(study), "csv")
+    return csv_text(POINTS_CSV_HEADER, point_rows(study))
 
 
 def summary_csv(study: ConvergenceStudy) -> str:
-    return write_rows(SUMMARY_CSV_HEADER, summary_rows(study), "csv")
+    return csv_text(SUMMARY_CSV_HEADER, summary_rows(study))

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._io import write_rows
+from ._io import csv_text
 from .errors import NumericalError, ValidationError
 from .eigensolver import Eigenpair, eigenfunction_values
 from .nystrom import Grid, NystromSystem
@@ -80,25 +80,20 @@ def _brackets(vals: np.ndarray, m: int, threshold: float) -> list[tuple[int, int
     certain = np.flatnonzero(sgn)
     if certain.size == 0:
         raise _Unresolved(f"every sample lies within {threshold:.1e} of zero")
-    brackets = []
-    i, last = int(certain[0]), int(certain[-1])
-    while i < last:
-        if sgn[i + 1] != 0:
-            if sgn[i] * sgn[i + 1] < 0:
-                brackets.append((i, i + 1))
-            i += 1
-            continue
-        if sgn[i + 2] == 0:
+    # each certain sample and the next: adjacent, or two apart around one uncertain sample
+    gap = np.diff(certain)
+    flip = sgn[certain[:-1]] != sgn[certain[1:]]
+    bad = np.flatnonzero((gap > 2) | ((gap == 2) & ~flip))
+    if bad.size:
+        i = int(certain[bad[0]])
+        if gap[bad[0]] > 2:
             raise _Unresolved(
                 f"consecutive interior samples {i + 1} and {i + 2} lie within {threshold:.1e} of zero"
             )
-        if sgn[i] * sgn[i + 2] > 0:
-            raise _Unresolved(
-                f"interior sample {i + 1} lies within {threshold:.1e} of zero without a sign change around it"
-            )
-        brackets.append((i, i + 2))
-        i += 2
-    return brackets
+        raise _Unresolved(
+            f"interior sample {i + 1} lies within {threshold:.1e} of zero without a sign change around it"
+        )
+    return list(zip(certain[:-1][flip].tolist(), certain[1:][flip].tolist()))
 
 
 def _cubic_root(c3: float, c2: float, c1: float, c0: float, lo: float, hi: float) -> float:
@@ -263,9 +258,9 @@ def knot_rows(reports: Iterable[KnotReport]) -> list[tuple]:
 
 
 def knots_csv(reports: Iterable[KnotReport]) -> str:
-    return write_rows(KNOTS_CSV_HEADER, knot_rows(reports), "csv")
+    return csv_text(KNOTS_CSV_HEADER, knot_rows(reports))
 
 
 def curve_csv(pair: Eigenpair, grid: Grid) -> str:
     """Node samples of the eigenfunction as two-column CSV x,phi."""
-    return write_rows("x,phi", zip(grid.nodes, eigenfunction_values(pair, grid)), "csv")
+    return csv_text("x,phi", zip(grid.nodes, eigenfunction_values(pair, grid)))

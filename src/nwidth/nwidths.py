@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._io import records, write_rows
+from ._io import csv_text, records
 from .errors import NumericalError, ValidationError
 from .eigensolver import TIE_REL_TOL, top_eigenvalues
 from .kernel import Interval, Kernel
@@ -161,4 +161,4 @@ def results_records(rows: Iterable[NWidthResult]) -> list[dict]:
 
 
 def results_csv(rows: Iterable[NWidthResult]) -> str:
-    return write_rows(CSV_HEADER, _cells(rows), "csv")
+    return csv_text(CSV_HEADER, _cells(rows))

@@ -5,8 +5,9 @@ paths: a Jacobi-rotation eigensolver, a Cox-de Boor evaluator of a
 single B-spline, the de Boor form of the kernel and its collocation
 matrix (in float64, and in double-double with the dense refinement of
 eigenpairs against it), LAPACK's dense symmetric eigensolver (eigenvalues, and
-eigenpairs with their sample error bounds), scipy's brentq polish of a
-knot on its local cubic, closed-form kernels, a piecewise-polynomial
+eigenpairs with their sample error bounds), a per-sample scan for the
+sign-change brackets of the knots, scipy's brentq polish of a knot on its
+local cubic, closed-form kernels, a piecewise-polynomial
 construction of the Green's function, the exact eigenvalues of the r=1
 collocation matrix, continuum eigenfrequency references for r in
 {2, 3, 4}, and two mpmath references: a continuum eigenfrequency solver
@@ -27,6 +28,7 @@ from scipy.optimize import brentq
 from nwidth.eigensolver import GAP_MARGIN, Eigenpair
 from nwidth.errors import NumericalError, ValidationError
 from nwidth.extended import DD_ENTRY_REL, MAX_STEPS, _add, _div, _dot, _mul, _two_prod
+from nwidth.knots import _Unresolved
 
 
 def jacobi_eigh(A, max_sweeps=30, tol=1e-15):
@@ -435,6 +437,41 @@ def dense_top_eigenpairs(A, count, r):
         pairs.append(Eigenpair(index=k + 1, value=float(w[k]), vector=oriented(V[:, k], bound),
                                error_bound=bound))
     return pairs
+
+
+def brackets_reference(vals, m, threshold):
+    """The sign-change brackets of `nwidth.knots._brackets`, one node at a time.
+
+    Steps from the first to the last sample of certain sign: an uncertain
+    sample between opposite signs widens the bracket by one node, and two
+    uncertain samples in a row, or one without a sign change around it,
+    raise the same `_Unresolved` as `_brackets`.
+    """
+    sgn = np.zeros(m + 2, dtype=int)
+    inner = vals[1 : m + 1]
+    sgn[1 : m + 1] = np.where(np.abs(inner) <= threshold, 0, np.sign(inner))
+    certain = np.flatnonzero(sgn)
+    if certain.size == 0:
+        raise _Unresolved(f"every sample lies within {threshold:.1e} of zero")
+    brackets = []
+    i, last = int(certain[0]), int(certain[-1])
+    while i < last:
+        if sgn[i + 1] != 0:
+            if sgn[i] * sgn[i + 1] < 0:
+                brackets.append((i, i + 1))
+            i += 1
+            continue
+        if sgn[i + 2] == 0:
+            raise _Unresolved(
+                f"consecutive interior samples {i + 1} and {i + 2} lie within {threshold:.1e} of zero"
+            )
+        if sgn[i] * sgn[i + 2] > 0:
+            raise _Unresolved(
+                f"interior sample {i + 1} lies within {threshold:.1e} of zero without a sign change around it"
+            )
+        brackets.append((i, i + 2))
+        i += 2
+    return brackets
 
 
 def local_cubic(nodes, vals, ilo, ihi):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from nwidth import Interval, Kernel, assemble, build_grid, eigensolver, nystrom
+from nwidth._io import json_pieces, json_text
 from nwidth.cli import DEFAULT_H_LIST, DEFAULT_H_REF, _build_parser, main, parse_args
 
 from oracles import dense_top_eigenvalues, kernel_r1
@@ -258,17 +259,58 @@ def test_json_and_csv_agree(tmp_path):
     _assert_rows_agree(csv_path, payload["points"], count)
     _assert_rows_agree(tmp_path / "conv_summary.csv", payload["summary"], 2)
 
+    argv = ["eigenfunctions", "--r", "2", "--k", "1..3", "--m", "31"]
+    assert main(argv + ["--out", str(tmp_path / "phi.csv")]) == 0
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "phi.json")]) == 0
+    curves = json.loads((tmp_path / "phi.json").read_text())
+    assert [curve["k"] for curve in curves] == [1, 2, 3]
+    for curve in curves:
+        rows = list(csv.DictReader((tmp_path / f"phi_k{curve['k']}.csv").open()))
+        assert [float(row["x"]) for row in rows] == curve["x"]
+        assert [float(row["phi"]) for row in rows] == curve["phi"]
+
+
+JSON_COMMANDS = {
+    "compute": ["compute", "--r", "20", "--n", "20..82", "--m", "63"],  # with null values
+    "conjecture-table": ["conjecture-table", "--r-max", "2", "--m", "31"],
+    "convergence": ["convergence", "--r", "1", "--n", "1..2", "--h-list", "2^-3,2^-4", "--h-ref", "analytic"],
+    "knots": ["knots", "--r", "2", "--k", "1..3", "--m", "63", "--interval=-0.3,1.1"],
+    "eigenfunctions": ["eigenfunctions", "--r", "2", "--k", "1..2", "--m", "15"],
+}
+
+
+def _refuse(token):
+    raise ValueError(f"invalid JSON token {token}")
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
+def test_json_is_one_line_and_the_out_file_holds_it(command, tmp_path, capsys):
+    argv = JSON_COMMANDS[command] + ["--format", "json"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("\n") and text.count("\n") == 1
+    json.loads(text, parse_constant=_refuse)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == text
+
+
+@pytest.mark.parametrize("payload", [
+    [], {}, [[]], 0.1, None, "text", [1.0, None, 2.5e-300],
+    {"a": [1, {"b": None}], "c": [0.1, -0.0]},
+    [{"k": 1, "x": [0.0, 1 / 3]}, {"k": 2, "x": []}],
+])
+def test_json_text_is_the_compact_encoding_and_its_pieces_join_to_it(payload):
+    assert json_text(payload) == json.dumps(payload, separators=(",", ":")) + "\n"
+    assert "".join(json_pieces(payload)) == json_text(payload)
+
 
 def test_json_nonfinite_values_are_null(capsys):
     # ranks far beyond float64 resolution on [0, 1]: some eigenvalues come out
     # nonpositive, and those rows have NaN values, written as null
     argv = ["compute", "--r", "20", "--n", "20..82", "--m", "63", "--format", "json"]
     assert main(argv) == 0
-
-    def refuse(token):
-        raise ValueError(f"invalid JSON token {token}")
-
-    rows = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    rows = json.loads(capsys.readouterr().out, parse_constant=_refuse)
     nonpositive = [row for row in rows if row["flag"] == "nonpositive"]
     assert nonpositive
     for row in nonpositive:

@@ -1,5 +1,6 @@
 import functools
 import io
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,12 @@ from nwidth import (
 from nwidth import knots
 from nwidth.knots import curve_csv
 
-from oracles import brentq_cubic_root, brentq_refine, local_cubic
+from oracles import brackets_reference, brentq_cubic_root, brentq_refine, local_cubic
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property test skips itself
+    given = None
 
 UNIT = Interval(0.0, 1.0)
 EPS = np.finfo(float).eps
@@ -149,6 +155,46 @@ def test_polish_agrees_with_the_brentq_polish_within_the_tolerance():
     tol = knots.DEFAULT_TOL_SCALE
     for nodes, vals, i, j in polish_brackets():
         assert abs(knots._refine(nodes, vals, i, j) - brentq_refine(nodes, vals, i, j, tol)) <= tol, (i, j)
+
+
+def bracket_outcome(find, vals, m, threshold):
+    """The brackets `find` returns, or the type and message of what it raises."""
+    try:
+        brackets = find(vals, m, threshold)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+    assert all(type(i) is int and type(j) is int for i, j in brackets)
+    return brackets
+
+
+def test_brackets_match_the_reference_scan_on_every_pattern():
+    # each interior sample positive, negative, uncertain (within the threshold,
+    # alternately +/- on it) or exactly zero; the end samples are the zero
+    # boundary values the eigenfunction has
+    threshold = 1e-12
+    for m in range(1, 9):
+        uncertain = np.where(np.arange(m + 2) % 2, -threshold, threshold)
+        classes = np.stack([np.full(m + 2, 0.5), np.full(m + 2, -2.0), uncertain, np.zeros(m + 2)])
+        patterns = np.zeros((4**m, m + 2), dtype=int)
+        patterns[:, 1 : m + 1] = list(itertools.product(range(4), repeat=m))
+        patterns[:, [0, m + 1]] = 3
+        for vals in classes[patterns, np.arange(m + 2)]:
+            expected = bracket_outcome(brackets_reference, vals, m, threshold)
+            assert bracket_outcome(knots._brackets, vals, m, threshold) == expected, vals
+
+
+@pytest.mark.skipif(given is None, reason="needs hypothesis")
+def test_brackets_match_the_reference_scan_on_random_samples():
+    samples = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-3, -1e-3]))
+
+    @given(st.lists(samples, min_size=1, max_size=60), st.sampled_from([1e-12, 1e-3, 0.5]))
+    def check(inner, threshold):
+        m = len(inner)
+        vals = np.array([0.0, *inner, 0.0])
+        expected = bracket_outcome(brackets_reference, vals, m, threshold)
+        assert bracket_outcome(knots._brackets, vals, m, threshold) == expected
+
+    check()
 
 
 def test_polish_of_a_zero_exactly_on_a_node():
