@@ -39,19 +39,6 @@ def json_text(payload) -> str:
     return json.dumps(payload, separators=_SEPARATORS) + "\n"
 
 
-def json_pieces(payload):
-    """`json_text(payload)` in pieces, one per item of a top-level list, so that
-    a long document can be written without building it as one string."""
-    if not isinstance(payload, list) or not payload:
-        yield json_text(payload)
-        return
-    sep = "["
-    for item in payload:
-        yield sep + json.dumps(item, separators=_SEPARATORS)
-        sep = ","
-    yield "]\n"
-
-
 def csv_text(header: str, rows) -> str:
     """One table as CSV, floats through `fmt`."""
     lines = [header]

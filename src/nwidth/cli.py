@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from ._io import atomic_write_text, json_pieces, json_text, records
+from ._io import atomic_write_text, json_text, records
 from .convergence import (
     POINTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -266,14 +266,6 @@ def _write(out: str | None, text: str) -> None:
         atomic_write_text(out, text)
 
 
-def _write_json(out: str | None, payload) -> None:
-    # stdout takes the document a list item at a time, never built as one string
-    if out is None:
-        sys.stdout.writelines(json_pieces(payload))
-    else:
-        atomic_write_text(out, json_text(payload))
-
-
 def _sibling_path(out: str, tag: str) -> str:
     root, ext = os.path.splitext(out)
     return f"{root}_{tag}{ext or '.csv'}"
@@ -281,7 +273,7 @@ def _sibling_path(out: str, tag: str) -> str:
 
 def _write_results(config: RunConfig, rows) -> None:
     if config.fmt == "json":
-        _write_json(config.out, results_records(rows))
+        _write(config.out, json_text(results_records(rows)))
     else:
         _write(config.out, results_csv(rows))
 
@@ -307,7 +299,7 @@ def _run_convergence(config: RunConfig) -> None:
             "points": records(POINTS_CSV_HEADER, point_rows(study)),
             "summary": records(SUMMARY_CSV_HEADER, summary_rows(study)),
         }
-        _write_json(config.out, payload)
+        _write(config.out, json_text(payload))
         return
     if config.out is None:
         sys.stdout.write(points_csv(study))
@@ -327,7 +319,7 @@ def _run_knots(config: RunConfig) -> None:
     system, pairs = _top_pairs(config)
     reports = knot_reports([pairs[k - 1] for k in config.k_values], system, config.tol)
     if config.fmt == "json":
-        _write_json(config.out, records(KNOTS_CSV_HEADER, knot_rows(reports)))
+        _write(config.out, json_text(records(KNOTS_CSV_HEADER, knot_rows(reports))))
     else:
         _write(config.out, knots_csv(reports))
 
@@ -339,7 +331,7 @@ def _run_eigenfunctions(config: RunConfig) -> None:
     if config.fmt == "json":
         x = grid.nodes.tolist()
         payload = [{"k": pair.index, "x": x, "phi": [0.0, *pair.vector.tolist(), 0.0]} for pair in selected]
-        _write_json(config.out, payload)
+        _write(config.out, json_text(payload))
         return
     if config.out is None:
         for pair in selected:

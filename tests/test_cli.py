@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nwidth import Interval, Kernel, assemble, build_grid, eigensolver, nystrom
-from nwidth._io import json_pieces, json_text
+from nwidth._io import json_text
 from nwidth.cli import DEFAULT_H_LIST, DEFAULT_H_REF, _build_parser, main, parse_args
 
 from oracles import dense_top_eigenvalues, kernel_r1
@@ -300,9 +300,8 @@ def test_json_is_one_line_and_the_out_file_holds_it(command, tmp_path, capsys):
     {"a": [1, {"b": None}], "c": [0.1, -0.0]},
     [{"k": 1, "x": [0.0, 1 / 3]}, {"k": 2, "x": []}],
 ])
-def test_json_text_is_the_compact_encoding_and_its_pieces_join_to_it(payload):
+def test_json_text_is_the_compact_encoding(payload):
     assert json_text(payload) == json.dumps(payload, separators=(",", ":")) + "\n"
-    assert "".join(json_pieces(payload)) == json_text(payload)
 
 
 def test_json_nonfinite_values_are_null(capsys):
