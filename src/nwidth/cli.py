@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: compute, conjecture-table, convergence, knots, eigenfunctions.
-Exit codes: 0 success, 1 validation error, 2 numerical failure (a rank
-beyond float64 resolution, or an eigensolve that exhausts its iteration
-budget) or out of memory.  Output is CSV, or with --format json one
-compact JSON line whose floats round-trip and whose non-finite values are
-null.
+Exit codes: 0 success, 1 validation error or an output file that cannot
+be written, 2 numerical failure (a rank beyond float64 resolution, or an
+eigensolve that exhausts its iteration budget) or out of memory.  Output
+is CSV, or with --format json one compact JSON line whose floats
+round-trip and whose non-finite values are null.
 
 Eigenpairs come from a Lanczos solver in numpy on the O(m r) product of
 the collocation matrix, which is formed only for a dense solve of a large
@@ -20,12 +20,12 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from ._io import atomic_write_text, json_text, records
 from .convergence import (
     POINTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
+    mesh_interior_count,
     point_rows,
     points_csv,
     run_study,
@@ -44,28 +44,6 @@ DEFAULT_M = 2047  # h = (b-a)/2048
 DEFAULT_H_LIST = tuple(2.0**-j for j in range(3, 10))
 DEFAULT_H_REF = 2.0**-11
 
-_VALUE_FLAGS = {
-    "--r", "--n", "--k", "--m", "--interval", "--h-list", "--h-ref",
-    "--tol", "--format", "--out", "--dump-matrix", "--r-max",
-}
-
-
-@dataclass
-class RunConfig:
-    command: str
-    r: int = 1
-    n_values: tuple[int, ...] = ()
-    k_values: tuple[int, ...] = ()
-    m: int = DEFAULT_M
-    interval: Interval = field(default_factory=lambda: Interval(0.0, 1.0))
-    r_max: int = 20
-    h_list: tuple[float, ...] = DEFAULT_H_LIST
-    h_ref: float | None = DEFAULT_H_REF
-    tol: float | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    dump_matrix: str | None = None
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -73,20 +51,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _merge_negative_values(argv: list[str]) -> list[str]:
+def _merge_negative_values(parser: _Parser, argv: list[str]) -> list[str]:
     # argparse mistakes values like "-1,1" for option names; fold them into
-    # the preceding flag as --flag=value
-    merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and nxt.startswith("-") and nxt not in _VALUE_FLAGS:
-            merged.append(f"{tok}={nxt}")
-            i += 2
+    # the preceding flag as --flag=value.  The flags are the options of the
+    # subcommands that take a value: every long option but --help.
+    (subcommands,) = (action.choices for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for sub in subcommands.values() for action in sub._actions if action.nargs != 0
+             for flag in action.option_strings}
+    merged = argv[:1]
+    for tok in argv[1:]:
+        if merged[-1] in flags and tok.startswith("-") and tok not in flags:
+            merged[-1] = f"{merged[-1]}={tok}"
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 
@@ -101,25 +79,29 @@ def _parse_interval(text: str) -> Interval:
     return Interval(a, b)
 
 
-def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
-    values: list[int] = []
+def _parse_ranges(text: str, name: str) -> list[tuple[int, int]]:
+    """The (lo, hi) ends of each integer or 'lo..hi' range of a comma list, not yet expanded."""
+    ranges = []
     for item in text.split(","):
         item = item.strip()
-        if ".." in item:
-            lo_s, hi_s = item.split("..", 1)
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise ValidationError(f"{name} range must be 'lo..hi', got '{item}'") from None
-            if hi < lo:
-                raise ValidationError(f"{name} range '{item}' is empty (needs lo <= hi)")
-            values.extend(range(lo, hi + 1))
-        else:
-            try:
-                values.append(int(item))
-            except ValueError:
-                raise ValidationError(f"{name} must be an integer or 'lo..hi', got '{item}'") from None
-    return tuple(values)
+        lo_s, dots, hi_s = item.partition("..")
+        try:
+            lo, hi = int(lo_s), int(hi_s if dots else lo_s)
+        except ValueError:
+            form = "range must be 'lo..hi'" if dots else "must be an integer or 'lo..hi'"
+            raise ValidationError(f"{name} {form}, got '{item}'") from None
+        if hi < lo:
+            raise ValidationError(f"{name} range '{item}' is empty (needs lo <= hi)")
+        ranges.append((lo, hi))
+    return ranges
+
+
+def _expand(ranges: list[tuple[int, int]], name: str, high: float, bound: str) -> tuple[int, ...]:
+    """Every integer of the ranges, once none exceeds high: a rank beyond the mesh is never expanded."""
+    highest = max(hi for _, hi in ranges)
+    if highest > high:
+        raise ValidationError(f"{name} must be <= {high} ({bound}), got {highest}")
+    return tuple(value for lo, hi in ranges for value in range(lo, hi + 1))
 
 
 def _parse_h(text: str) -> float:
@@ -133,10 +115,6 @@ def _parse_h(text: str) -> float:
     if not 0 < value < math.inf:
         raise ValidationError(f"mesh size must be positive and finite, got '{text}'")
     return value
-
-
-def _parse_h_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_h(item) for item in text.split(",") if item.strip())
 
 
 @functools.lru_cache(maxsize=1)
@@ -155,7 +133,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt",
                        help="csv (default), or json: one compact line, floats that round-trip, "
                             "null for non-finite values")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
+        p.add_argument("--out", default=None,
+                       help="output file (default: stdout); in CSV, convergence also writes "
+                            "<stem>_summary<ext>, and eigenfunctions of several ranks write "
+                            "<stem>_k<rank><ext> instead (<ext> is .csv if the file has none)")
 
     p = sub.add_parser("compute", help="n-width estimates for one r and a range of n")
     common(p)
@@ -190,159 +171,139 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv: list[str]) -> RunConfig:
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments, their text values parsed in place; a bad value exits 1."""
     parser = _build_parser()
-    ns = parser.parse_args(_merge_negative_values(list(argv)))
+    config = parser.parse_args(_merge_negative_values(parser, list(argv)))
     try:
-        config = _config_from_namespace(ns)
+        _check(config)
     except ValidationError as exc:
         parser.error(str(exc))
     return config
 
 
-def _config_from_namespace(ns) -> RunConfig:
-    config = RunConfig(command=ns.command)
-    config.fmt = ns.fmt
-    config.out = ns.out
-    config.interval = _parse_interval(ns.interval)
-
+def _check(ns: argparse.Namespace) -> None:
+    """Parse ns's text values in place, adding n_values or k_values; raise ValidationError on a bad one."""
+    ns.interval = _parse_interval(ns.interval)
     if ns.command != "conjecture-table":
         if ns.r < 1:
             raise ValidationError(f"--r must be >= 1, got {ns.r}")
         if ns.r > MAX_R:
             raise ValidationError(f"--r must be <= {MAX_R}, got {ns.r}")
-        config.r = ns.r
-
-    if ns.command != "convergence":
-        if ns.m < 1:
-            raise ValidationError(f"--m must be >= 1, got {ns.m}")
-        config.m = ns.m
+    if ns.command != "convergence" and ns.m < 1:
+        raise ValidationError(f"--m must be >= 1, got {ns.m}")
 
     if ns.command in ("compute", "convergence"):
-        if getattr(ns, "n", None) is None:
-            config.n_values = tuple(range(config.r, config.r + 6))
-        else:
-            config.n_values = _parse_int_list(ns.n, "--n")
-        if min(config.n_values) < config.r:
-            raise ValidationError(f"--n must be >= r={config.r}, got {min(config.n_values)}")
+        n_ranges = [(ns.r, ns.r + 5)] if ns.n is None else _parse_ranges(ns.n, "--n")
+        lowest = min(lo for lo, _ in n_ranges)
+        if lowest < ns.r:
+            raise ValidationError(f"--n must be >= r={ns.r}, got {lowest}")
+    if ns.command == "compute":
+        ns.n_values = _expand(n_ranges, "--n", ns.r - 1 + ns.m, "r-1+m")
 
     if ns.command in ("knots", "eigenfunctions"):
-        config.k_values = _parse_int_list(ns.k, "--k")
-        if min(config.k_values) < 1:
-            raise ValidationError(f"--k must be >= 1, got {min(config.k_values)}")
+        k_ranges = _parse_ranges(ns.k, "--k")
+        lowest = min(lo for lo, _ in k_ranges)
+        if lowest < 1:
+            raise ValidationError(f"--k must be >= 1, got {lowest}")
+        ns.k_values = _expand(k_ranges, "--k", ns.m, "m")
 
-    if ns.command == "conjecture-table":
-        if ns.r_max < 1 or ns.r_max > MAX_R:
-            raise ValidationError(f"--r-max must be in [1, {MAX_R}], got {ns.r_max}")
-        config.r_max = ns.r_max
+    if ns.command == "conjecture-table" and not 1 <= ns.r_max <= MAX_R:
+        raise ValidationError(f"--r-max must be in [1, {MAX_R}], got {ns.r_max}")
 
     if ns.command == "convergence":
-        span = config.interval.span
+        span = ns.interval.span
         if ns.h_list is None:
-            config.h_list = tuple(span * h for h in DEFAULT_H_LIST)
+            ns.h_list = tuple(span * h for h in DEFAULT_H_LIST)
         else:
-            config.h_list = _parse_h_list(ns.h_list)
-            if not config.h_list:
+            ns.h_list = tuple(_parse_h(item) for item in ns.h_list.split(",") if item.strip())
+            if not ns.h_list:
                 raise ValidationError("--h-list is empty")
         if ns.h_ref is None:
-            config.h_ref = span * DEFAULT_H_REF
+            ns.h_ref = span * DEFAULT_H_REF
         else:
-            config.h_ref = None if ns.h_ref.strip() == "analytic" else _parse_h(ns.h_ref)
+            ns.h_ref = None if ns.h_ref.strip() == "analytic" else _parse_h(ns.h_ref)
+        try:
+            coarsest = mesh_interior_count(max(ns.h_list), ns.interval)
+        except ValidationError:  # run_study reports the mesh size that fits no mesh
+            coarsest = math.inf
+        ns.n_values = _expand(n_ranges, "--n", ns.r - 1 + coarsest, "r-1+m, m of the coarsest mesh")
 
-    if ns.command == "compute":
-        config.dump_matrix = ns.dump_matrix
-
-    if ns.command == "knots":
-        if ns.tol is not None and not 0 < ns.tol < math.inf:
-            raise ValidationError(f"--tol must be positive and finite, got {ns.tol}")
-        config.tol = ns.tol
-    return config
-
-
-def _write(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_text(out, text)
+    if ns.command == "knots" and ns.tol is not None and not 0 < ns.tol < math.inf:
+        raise ValidationError(f"--tol must be positive and finite, got {ns.tol}")
 
 
-def _sibling_path(out: str, tag: str) -> str:
-    root, ext = os.path.splitext(out)
-    return f"{root}_{tag}{ext or '.csv'}"
+def _write_file(path: str, text: str) -> None:
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_results(config: RunConfig, rows) -> None:
-    if config.fmt == "json":
-        _write(config.out, json_text(results_records(rows)))
-    else:
-        _write(config.out, results_csv(rows))
+def _emit(config: argparse.Namespace, payload, tables) -> None:
+    """Write payload() as JSON or the CSV tables(), (tag, text) pairs, to stdout or --out.
+
+    Stdout gets the texts with a blank line between them; --out gets the
+    untagged text, and <stem>_<tag><ext> beside it each tagged one.
+    """
+    outputs = [(None, json_text(payload()))] if config.fmt == "json" else tables()
+    if config.out is None:
+        sys.stdout.write("\n".join(text for _, text in outputs))
+        return
+    root, ext = os.path.splitext(config.out)
+    for tag, text in outputs:
+        _write_file(config.out if tag is None else f"{root}_{tag}{ext or '.csv'}", text)
 
 
-def _run_compute(config: RunConfig) -> None:
+def _emit_rows(config: argparse.Namespace, rows) -> None:
+    _emit(config, lambda: results_records(rows), lambda: [(None, results_csv(rows))])
+
+
+def _run_compute(config: argparse.Namespace) -> None:
     if config.dump_matrix:
         system = assemble(Kernel(config.r, config.interval), build_grid(config.interval, config.m))
-        atomic_write_text(config.dump_matrix, matrix_text(system))
-    _write_results(config, nwidth_rows(config.r, config.n_values, config.m, config.interval))
+        _write_file(config.dump_matrix, matrix_text(system))
+    _emit_rows(config, nwidth_rows(config.r, config.n_values, config.m, config.interval))
 
 
-def _run_conjecture_table(config: RunConfig) -> None:
-    _write_results(config, conjecture_table(config.r_max, config.m, config.interval))
+def _run_conjecture_table(config: argparse.Namespace) -> None:
+    _emit_rows(config, conjecture_table(config.r_max, config.m, config.interval))
 
 
-def _run_convergence(config: RunConfig) -> None:
+def _run_convergence(config: argparse.Namespace) -> None:
     study = run_study(config.r, config.n_values, config.h_list, config.h_ref, config.interval)
     for n, note_group in zip(study.n_list, study.notes):
         for note in note_group:
             print(f"note: r={study.r} n={n}: {note}", file=sys.stderr)
-    if config.fmt == "json":
-        payload = {
-            "points": records(POINTS_CSV_HEADER, point_rows(study)),
-            "summary": records(SUMMARY_CSV_HEADER, summary_rows(study)),
-        }
-        _write(config.out, json_text(payload))
-        return
-    if config.out is None:
-        sys.stdout.write(points_csv(study))
-        sys.stdout.write("\n")
-        sys.stdout.write(summary_csv(study))
-    else:
-        _write(config.out, points_csv(study))
-        _write(_sibling_path(config.out, "summary"), summary_csv(study))
+    _emit(config,
+          lambda: {"points": records(POINTS_CSV_HEADER, point_rows(study)),
+                   "summary": records(SUMMARY_CSV_HEADER, summary_rows(study))},
+          lambda: [(None, points_csv(study)), ("summary", summary_csv(study))])
 
 
-def _top_pairs(config: RunConfig) -> tuple:
+def _top_pairs(config: argparse.Namespace) -> tuple:
     system = assemble(Kernel(config.r, config.interval), build_grid(config.interval, config.m))
     return system, top_eigenpairs(system, max(config.k_values))
 
 
-def _run_knots(config: RunConfig) -> None:
+def _run_knots(config: argparse.Namespace) -> None:
     system, pairs = _top_pairs(config)
     reports = knot_reports([pairs[k - 1] for k in config.k_values], system, config.tol)
-    if config.fmt == "json":
-        _write(config.out, json_text(records(KNOTS_CSV_HEADER, knot_rows(reports))))
-    else:
-        _write(config.out, knots_csv(reports))
+    _emit(config, lambda: records(KNOTS_CSV_HEADER, knot_rows(reports)),
+          lambda: [(None, knots_csv(reports))])
 
 
-def _run_eigenfunctions(config: RunConfig) -> None:
+def _run_eigenfunctions(config: argparse.Namespace) -> None:
     system, pairs = _top_pairs(config)
-    grid = system.grid
     selected = [pairs[k - 1] for k in config.k_values]
-    if config.fmt == "json":
-        x = grid.nodes.tolist()
-        payload = [{"k": pair.index, "x": x, "phi": [0.0, *pair.vector.tolist(), 0.0]} for pair in selected]
-        _write(config.out, json_text(payload))
-        return
-    if config.out is None:
-        for pair in selected:
-            sys.stdout.write(curve_csv(pair, grid))
-            if pair is not selected[-1]:
-                sys.stdout.write("\n")
-    elif len(selected) == 1:
-        _write(config.out, curve_csv(selected[0], grid))
-    else:
-        for pair in selected:
-            _write(_sibling_path(config.out, f"k{pair.index}"), curve_csv(pair, grid))
+
+    def curves():
+        x = system.grid.nodes.tolist()
+        return [{"k": pair.index, "x": x, "phi": [0.0, *pair.vector.tolist(), 0.0]} for pair in selected]
+
+    # one rank goes to --out itself, several to one sibling file each
+    tags = [None] if len(selected) == 1 else [f"k{pair.index}" for pair in selected]
+    _emit(config, curves, lambda: [(tag, curve_csv(pair, system.grid)) for tag, pair in zip(tags, selected)])
 
 
 _RUNNERS = {
@@ -354,7 +315,7 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     try:
         _RUNNERS[config.command](config)
     except ValidationError as exc:
@@ -371,5 +332,4 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else list(argv))
-    return run(config)
+    return run(parse_args(sys.argv[1:] if argv is None else list(argv)))

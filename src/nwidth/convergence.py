@@ -48,7 +48,7 @@ def mesh_interior_count(h: float, interval: Interval) -> int:
     if h <= 0:
         raise ValidationError(f"mesh size must be positive, got {h}")
     ratio = interval.span / h
-    segments = round(ratio)
+    segments = round(ratio) if ratio < math.inf else 0  # (b-a)/h overflows: no mesh fits
     if segments < 2 or abs(ratio - segments) > 1e-8 * segments:
         raise ValidationError(f"h={h} is not (b-a)/(m+1) for any interior count m >= 1")
     return segments - 1

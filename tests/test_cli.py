@@ -1,10 +1,13 @@
+import argparse
 import csv
+import errno
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -84,6 +87,83 @@ def test_h_list_parsing():
     config = parse(["convergence", "--r", "1", "--n", "1", "--h-list", "2^-3,0.0625", "--h-ref", "analytic"])
     assert config.h_list == (0.125, 0.0625)
     assert config.h_ref is None
+
+
+def _subcommand_parsers() -> dict:
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+#: the required arguments of each subcommand
+REQUIRED = {"compute": ["--n", "1"], "conjecture-table": [], "convergence": [],
+            "knots": ["--k", "1"], "eigenfunctions": ["--k", "1"]}
+
+
+def test_every_long_option_but_help_takes_one_value():
+    # the rule by which a value such as "-1,1" is merged into the flag before it
+    parsers = _subcommand_parsers()
+    assert set(parsers) == set(REQUIRED)
+    for name, sub in parsers.items():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                if flag == "--help":
+                    assert action.nargs == 0
+                elif flag.startswith("--"):
+                    assert isinstance(action, argparse._StoreAction) and action.nargs is None, (name, flag)
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_a_negative_interval_is_merged_on_every_subcommand(command):
+    config = parse([command, *REQUIRED[command], "--interval", "-1,1"])
+    assert (config.interval.a, config.interval.b) == (-1.0, 1.0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["knots", "--r", "1", "--k", "2", "--tol", "-1"], "--tol must be positive and finite, got -1.0"),
+    (["convergence", "--r", "1", "--h-ref", "-2^-3"], "cannot parse mesh size '-2^-3'"),
+], ids=["tol", "h-ref"])
+def test_a_negative_value_reaches_its_check(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        parse(argv)
+    assert err.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"nwidth: error: {message}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--r", "1", "--n", "1..1000000", "--m", "63"],
+    ["knots", "--r", "1", "--k", "1..1000000", "--m", "63"],
+    ["eigenfunctions", "--r", "1", "--k", "3,1..1000000", "--m", "63"],
+    ["convergence", "--r", "1", "--n", "1..1000000", "--h-list", "2^-3,2^-4"],
+], ids=lambda argv: argv[0])
+def test_a_rank_beyond_the_mesh_is_rejected_before_its_range_is_expanded(argv, capsys):
+    _build_parser()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            parse(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 1
+    assert peak < 2**20
+    assert "must be <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, ranks, message", [
+    (["compute", "--r", "2", "--m", "63"], "--n", range(2, 65), "--n must be <= 64 (r-1+m), got 65"),
+    (["knots", "--r", "2", "--m", "63"], "--k", range(63, 64), "--k must be <= 63 (m), got 64"),
+    (["eigenfunctions", "--r", "2", "--m", "63"], "--k", range(1, 64), "--k must be <= 63 (m), got 64"),
+    # the coarsest mesh, h = 2^-3, has m = 7
+    (["convergence", "--r", "2", "--h-list", "2^-4,2^-3"], "--n", range(2, 9),
+     "--n must be <= 8 (r-1+m, m of the coarsest mesh), got 9"),
+], ids=["compute", "knots", "eigenfunctions", "convergence"])
+def test_ranks_up_to_the_mesh_are_accepted_and_one_more_is_not(argv, flag, ranks, message, capsys):
+    config = parse([*argv, flag, f"{ranks[0]}..{ranks[-1]}"])
+    assert getattr(config, f"{flag[2:]}_values") == tuple(ranks)
+    with pytest.raises(SystemExit) as err:
+        parse([*argv, flag, f"{ranks[0]},{ranks[-1] + 1}"])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"nwidth: error: {message}"
 
 
 def test_parser_is_built_once():
@@ -504,3 +584,39 @@ def test_conjecture_table_cli(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 12
     assert [int(row["r"]) for row in rows] == [1] * 6 + [2] * 6
+
+
+@pytest.mark.parametrize("argv, target, code", [
+    (["compute", "--r", "1", "--n", "1", "--m", "15", "--out"], "missing/x.csv", errno.ENOENT),
+    (["compute", "--r", "1", "--n", "1", "--m", "15", "--dump-matrix"], "missing/A.txt", errno.ENOENT),
+    (["knots", "--r", "2", "--k", "1..2", "--m", "31", "--out"], "directory", errno.EISDIR),
+], ids=["out-in-a-missing-directory", "dump-matrix-in-a-missing-directory", "out-is-a-directory"])
+def test_an_unwritable_output_exits_1_with_one_line(argv, target, code, tmp_path, capsys):
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"nwidth: error: cannot write {path}: {os.strerror(code)}\n"
+    assert list(tmp_path.rglob(".nwidth-*")) == []
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["convergence", "--r", "1", "--n", "1..2", "--h-list", "2^-3,2^-4", "--h-ref", "analytic"],
+     ["t.csv", "t_summary.csv"]),
+    (["eigenfunctions", "--r", "2", "--k", "1..3", "--m", "15"], ["t_k1.csv", "t_k2.csv", "t_k3.csv"]),
+], ids=["convergence", "eigenfunctions"])
+def test_stdout_holds_the_out_files_with_a_blank_line_between(argv, files, tmp_path, capsys):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == files
+    assert text == "\n".join((tmp_path / name).read_text() for name in files)
+
+
+def test_a_mesh_size_beyond_float64_resolution_is_rejected(capsys):
+    # (b-a)/h overflows, so no uniform mesh has this h
+    argv = ["convergence", "--r", "1", "--interval", "0,1e300", "--h-list", "1e-300", "--h-ref", "1e-301"]
+    assert main(argv) == 1
+    message = "h=1e-300 is not (b-a)/(m+1) for any interior count m >= 1"
+    assert capsys.readouterr().err == f"nwidth: error: {message}\n"
