@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: compute, conjecture-table, convergence, knots, eigenfunctions.
-Exit codes: 0 success, 1 validation error or an output file that cannot
-be written, 2 numerical failure (a rank beyond float64 resolution, or an
-eigensolve that exhausts its iteration budget) or out of memory.  Output
-is CSV, or with --format json one compact JSON line whose floats
-round-trip and whose non-finite values are null.
+Exit codes: 0 success, 1 validation error or an output file or standard
+output that cannot be written, 2 numerical failure (a rank beyond
+float64 resolution, or an eigensolve that exhausts its iteration budget)
+or out of memory.  Output is CSV, or with --format json one compact JSON
+line whose floats round-trip and whose non-finite values are null.
 
 Eigenpairs come from a Lanczos solver in numpy on the O(m r) product of
 the collocation matrix, which is formed only for a dense solve of a large
@@ -32,7 +32,7 @@ from .convergence import (
     summary_csv,
     summary_rows,
 )
-from .eigensolver import top_eigenpairs
+from .eigensolver import eigenfunction_values, top_eigenpairs
 from .errors import NumericalError, ValidationError
 from .kernel import Interval, Kernel, MAX_R
 from .knots import KNOTS_CSV_HEADER, curve_csv, knot_reports, knot_rows, knots_csv
@@ -223,10 +223,9 @@ def _check(ns: argparse.Namespace) -> None:
             ns.h_ref = span * DEFAULT_H_REF
         else:
             ns.h_ref = None if ns.h_ref.strip() == "analytic" else _parse_h(ns.h_ref)
-        try:
-            coarsest = mesh_interior_count(max(ns.h_list), ns.interval)
-        except ValidationError:  # run_study reports the mesh size that fits no mesh
-            coarsest = math.inf
+        coarsest = min(mesh_interior_count(h, ns.interval) for h in ns.h_list)
+        if ns.h_ref is not None:
+            mesh_interior_count(ns.h_ref, ns.interval)
         ns.n_values = _expand(n_ranges, "--n", ns.r - 1 + coarsest, "r-1+m, m of the coarsest mesh")
 
     if ns.command == "knots" and ns.tol is not None and not 0 < ns.tol < math.inf:
@@ -248,7 +247,14 @@ def _emit(config: argparse.Namespace, payload, tables) -> None:
     """
     outputs = [(None, json_text(payload()))] if config.fmt == "json" else tables()
     if config.out is None:
-        sys.stdout.write("\n".join(text for _, text in outputs))
+        try:
+            sys.stdout.write("\n".join(text for _, text in outputs))
+            sys.stdout.flush()
+        except OSError as exc:
+            # what is left in the buffer goes to os.devnull at exit, not to a second failure
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise ValidationError(f"cannot write standard output: {exc.strerror}") from None
         return
     root, ext = os.path.splitext(config.out)
     for tag, text in outputs:
@@ -299,7 +305,8 @@ def _run_eigenfunctions(config: argparse.Namespace) -> None:
 
     def curves():
         x = system.grid.nodes.tolist()
-        return [{"k": pair.index, "x": x, "phi": [0.0, *pair.vector.tolist(), 0.0]} for pair in selected]
+        return [{"k": pair.index, "x": x, "phi": eigenfunction_values(pair, system.grid).tolist()}
+                for pair in selected]
 
     # one rank goes to --out itself, several to one sibling file each
     tags = [None] if len(selected) == 1 else [f"k{pair.index}" for pair in selected]

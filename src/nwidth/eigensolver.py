@@ -82,9 +82,7 @@ class Eigenpair:
     value: float  # eigenvalue of the [0, 1] matrix
     vector: np.ndarray  # interior node values
     #: Bound on the error of every sample of `vector` (whose largest sample
-    #: is 1).  0.0 declares the samples exact: knot extraction then never
-    #: refines them and takes only samples within ZERO_SAMPLE_TOL of zero
-    #: as vanishing.
+    #: is 1): a sample's sign is certain only beyond it.
     error_bound: float
 
 

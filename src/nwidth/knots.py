@@ -38,9 +38,6 @@ from .errors import NumericalError, ValidationError
 from .eigensolver import Eigenpair, eigenfunction_values
 from .nystrom import Grid, NystromSystem
 
-#: Samples this close to zero (vectors are max-normalized) count as uncertain
-#: even when the pair's error bound is smaller.
-ZERO_SAMPLE_TOL = 1e-12
 DEFAULT_TOL_SCALE = 1e-10
 
 KNOTS_CSV_HEADER = "r,k,index,zero"
@@ -52,7 +49,7 @@ class KnotReport:
     eigen_rank: int
     zeros: np.ndarray  # strictly increasing, strictly inside (a, b)
     refinement_tol: float
-    error_estimate: float = 0.0  # largest estimated zero error, <= refinement_tol
+    error_estimate: float  # largest estimated zero error, <= refinement_tol
 
 
 _MESH_HINT = "the mesh does not resolve this rank"
@@ -169,7 +166,7 @@ def _zeros(pair: Eigenpair, grid: Grid, tol: float) -> tuple[np.ndarray, float]:
     """The pair's k-1 zeros and their largest estimated error."""
     nodes = grid.nodes
     vals = eigenfunction_values(pair, grid)
-    brackets = _brackets(vals, grid.m, max(pair.error_bound, ZERO_SAMPLE_TOL))
+    brackets = _brackets(vals, grid.m, pair.error_bound)
     expected = pair.index - 1
     if len(brackets) != expected:
         raise _Unresolved(
@@ -208,9 +205,9 @@ def extract_knots(pair: Eigenpair, system: NystromSystem, tol: float | None = No
 
     `pair` is an eigenpair of `system`, whose kernel order labels the
     report.  Exactly k-1 zeros must appear, each with an estimated error
-    within tol, which defaults to 1e-10 * (b-a).  A pair with a nonzero
-    error bound that stands in the way is refined beyond float64 first,
-    by `refine` or else on an operator built from `system` for its rank.
+    within tol, which defaults to 1e-10 * (b-a).  A pair whose error bound
+    stands in the way is refined beyond float64 first, by `refine` or else
+    on an operator built from `system` for its rank.
     Raises NumericalError when the zeros stay unresolved: the rank is
     beyond float64 precision (its eigenvalue gap is within rounding of
     lambda_1), the mesh does not separate its zeros, tol is finer than
@@ -223,9 +220,7 @@ def extract_knots(pair: Eigenpair, system: NystromSystem, tol: float | None = No
         raise ValidationError(f"refinement tolerance must be positive and finite, got {tol}")
     try:
         zeros, error = _zeros(pair, grid, tol)
-    except _Unresolved as exc:
-        if pair.error_bound == 0.0:
-            raise NumericalError(f"{exc}; {exc.hint}") from None
+    except _Unresolved:
         refined = (refine or _refiner(system, pair.index))(pair)
         try:
             zeros, error = _zeros(refined, grid, tol)

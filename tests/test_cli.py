@@ -75,6 +75,11 @@ def test_rejects_bad_inputs():
         ["knots", "--r", "1", "--k", "2", "--tol", "nan"],
         ["knots", "--r", "1", "--k", "2", "--tol", "inf"],
         ["compute", "--r", "1", "--n", "1", "--threads", "0"],
+        ["compute", "--r", "1", "--n", "1", "--m", "0"],
+        ["compute", "--r", "1", "--n", "1", "--interval", "a,b"],
+        ["conjecture-table", "--r-max", "0"],
+        ["conjecture-table", "--r-max", "21"],
+        ["convergence", "--r", "1", "--h-list", ","],
         # the table runs over r = 1..r-max; --r is no abbreviation of --r-max
         ["conjecture-table", "--r", "7", "--r-max", "1", "--m", "63"],
     ):
@@ -147,6 +152,21 @@ def test_a_rank_beyond_the_mesh_is_rejected_before_its_range_is_expanded(argv, c
     assert err.value.code == 1
     assert peak < 2**20
     assert "must be <=" in capsys.readouterr().err
+
+
+def test_a_range_is_not_expanded_when_the_coarsest_mesh_size_fits_no_mesh(capsys):
+    _build_parser()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            parse(["convergence", "--r", "1", "--n", "1..1000000", "--h-list", "0.9"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 1
+    assert peak < 2**20
+    message = "h=0.9 is not (b-a)/(m+1) for any interior count m >= 1"
+    assert capsys.readouterr().err.splitlines()[-1] == f"nwidth: error: {message}"
 
 
 @pytest.mark.parametrize("argv, flag, ranks, message", [
@@ -617,6 +637,24 @@ def test_stdout_holds_the_out_files_with_a_blank_line_between(argv, files, tmp_p
 def test_a_mesh_size_beyond_float64_resolution_is_rejected(capsys):
     # (b-a)/h overflows, so no uniform mesh has this h
     argv = ["convergence", "--r", "1", "--interval", "0,1e300", "--h-list", "1e-300", "--h-ref", "1e-301"]
-    assert main(argv) == 1
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
     message = "h=1e-300 is not (b-a)/(m+1) for any interior count m >= 1"
-    assert capsys.readouterr().err == f"nwidth: error: {message}\n"
+    usage, _, error = capsys.readouterr().err.rpartition("nwidth: error: ")
+    assert usage.startswith("usage: nwidth")
+    assert error == f"{message}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["compute", "--r", "1", "--n", "1", "--m", "15"],
+    ["eigenfunctions", "--r", "2", "--k", "1..8", "--format", "json"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_standard_output_exits_1_with_one_line(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "nwidth", *argv], env=env, stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+    assert done.returncode == 1
+    assert done.stderr == f"nwidth: error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"

@@ -43,8 +43,8 @@ def pairs_for(r, m, count, interval=UNIT):
 
 
 def synthetic_pair(index, samples):
-    # error_bound 0.0: the samples are taken as exact and never refined
-    return Eigenpair(index=index, value=1.0, vector=np.asarray(samples, dtype=float), error_bound=0.0)
+    # samples within 1e-12 of zero have no certain sign
+    return Eigenpair(index=index, value=1.0, vector=np.asarray(samples, dtype=float), error_bound=1e-12)
 
 
 def test_rank_one_has_no_zeros():
@@ -120,7 +120,7 @@ def polish_brackets():
             system, pairs = pairs_for(r, m, 8)
             for pair in pairs[1:]:
                 vals = eigenfunction_values(pair, system.grid)
-                brackets = knots._brackets(vals, m, max(pair.error_bound, knots.ZERO_SAMPLE_TOL))
+                brackets = knots._brackets(vals, m, pair.error_bound)
                 assert len(brackets) == pair.index - 1, (r, m, pair.index)
                 found += [(system.grid.nodes, vals, i, j) for i, j in brackets]
     return found
@@ -201,7 +201,7 @@ def test_polish_of_a_zero_exactly_on_a_node():
     nodes = np.linspace(0.0, 1.0, 9)
     vals = (nodes - 0.5) * (1.0 + nodes)
     assert vals[4] == 0.0
-    assert knots._brackets(vals, 7, knots.ZERO_SAMPLE_TOL) == [(3, 5)]
+    assert knots._brackets(vals, 7, 1e-12) == [(3, 5)]
     gh = nodes[1] - nodes[0]
     assert abs(knots._refine(nodes, vals, 3, 5) - 0.5) <= 4 * EPS * gh
 
@@ -284,25 +284,29 @@ def test_no_zero_returned_beyond_tolerance():
         extract_knots(pairs[3], system, tol=1e-19)
 
 
-def test_consecutive_vanishing_samples_rejected():
-    system = system_of(1, 5)
-    pair = synthetic_pair(2, [0.5, 1e-13, 1e-13, -0.5, -1.0])
-    with pytest.raises(NumericalError):
+def assert_unresolved(pair, system, message):
+    # the samples fail on `message`; refining them then finds no such pair of the system
+    with pytest.raises(NumericalError, match=message):
+        knots._zeros(pair, system.grid, knots.DEFAULT_TOL_SCALE)
+    with pytest.raises(NumericalError, match=f"is not the rank-{pair.index} eigenpair"):
         extract_knots(pair, system)
+
+
+def test_consecutive_vanishing_samples_rejected():
+    pair = synthetic_pair(2, [0.5, 1e-13, 1e-13, -0.5, -1.0])
+    assert_unresolved(pair, system_of(1, 5), "consecutive interior samples")
 
 
 def test_vanishing_sample_without_sign_change_rejected():
-    system = system_of(1, 5)
     pair = synthetic_pair(2, [0.5, 1.0, 1e-13, 0.5, 1.0])
-    with pytest.raises(NumericalError):
-        extract_knots(pair, system)
+    assert_unresolved(pair, system_of(1, 5), "without a sign change")
 
 
 def test_sign_change_count_mismatch_rejected():
     system, pairs = pairs_for(1, 100, 3)
-    wrong_rank = Eigenpair(index=5, value=pairs[2].value, vector=pairs[2].vector, error_bound=0.0)
-    with pytest.raises(NumericalError, match="sign changes"):
-        extract_knots(wrong_rank, system)
+    wrong_rank = Eigenpair(index=5, value=pairs[2].value, vector=pairs[2].vector,
+                           error_bound=pairs[2].error_bound)
+    assert_unresolved(wrong_rank, system, "shows 2 sign changes, expected 4")
 
 
 def test_pair_of_another_order_rejected_when_refined():
