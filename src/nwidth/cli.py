@@ -37,7 +37,7 @@ from .errors import NumericalError, ValidationError
 from .kernel import Interval, Kernel, MAX_R
 from .knots import KNOTS_CSV_HEADER, curve_csv, knot_reports, knot_rows, knots_csv
 from .nwidths import conjecture_table, nwidth_rows, results_csv, results_records
-from .nystrom import assemble, build_grid, matrix_text
+from .nystrom import assemble, build_grid
 
 DEFAULT_M = 2047  # h = (b-a)/2048
 #: Default convergence mesh sizes and reference mesh size, as fractions of b-a.
@@ -141,9 +141,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compute", help="n-width estimates for one r and a range of n")
     common(p)
     p.add_argument("--n", required=True, help="n value or range 'lo..hi'")
-    p.add_argument("--dump-matrix", default=None,
-                   help="also dump the solved matrix to this file: the [0,1] matrix of (r, m), "
-                        "which (b-a)^(2r) scales to [a,b]")
 
     # no abbreviations here: --r would pass for --r-max
     p = sub.add_parser("conjecture-table", help="relative error to the conjectured value, r=1..r-max",
@@ -232,13 +229,6 @@ def _check(ns: argparse.Namespace) -> None:
         raise ValidationError(f"--tol must be positive and finite, got {ns.tol}")
 
 
-def _write_file(path: str, text: str) -> None:
-    try:
-        atomic_write_text(path, text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
-
-
 def _emit(config: argparse.Namespace, payload, tables) -> None:
     """Write payload() as JSON or the CSV tables(), (tag, text) pairs, to stdout or --out.
 
@@ -258,7 +248,11 @@ def _emit(config: argparse.Namespace, payload, tables) -> None:
         return
     root, ext = os.path.splitext(config.out)
     for tag, text in outputs:
-        _write_file(config.out if tag is None else f"{root}_{tag}{ext or '.csv'}", text)
+        path = config.out if tag is None else f"{root}_{tag}{ext or '.csv'}"
+        try:
+            atomic_write_text(path, text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit_rows(config: argparse.Namespace, rows) -> None:
@@ -266,9 +260,6 @@ def _emit_rows(config: argparse.Namespace, rows) -> None:
 
 
 def _run_compute(config: argparse.Namespace) -> None:
-    if config.dump_matrix:
-        system = assemble(Kernel(config.r, config.interval), build_grid(config.interval, config.m))
-        _write_file(config.dump_matrix, matrix_text(system))
     _emit_rows(config, nwidth_rows(config.r, config.n_values, config.m, config.interval))
 
 

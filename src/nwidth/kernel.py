@@ -46,6 +46,8 @@ class Interval:
             raise ValidationError("interval endpoints must be finite")
         if not a < b:
             raise ValidationError(f"interval needs a < b, got ({a}, {b})")
+        if not math.isfinite(b - a):
+            raise ValidationError(f"interval span b-a overflows float64, got ({a}, {b})")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -8,9 +8,8 @@ a symmetric semiseparable matrix of rank r.  A system holds only the
 factors, so a product with the matrix costs O(m r) operations and memory
 (`NystromSystem.matvec`), the one product the Lanczos solver of
 `nwidth.eigensolver` needs.  The m x m matrix itself is formed on first
-request, which only the dense solve (a request for more than about m/6
-eigenvalues, all m among them) and `matrix_text` (the CLI's
-`--dump-matrix`) make.  The collocation matrix on [a, b] is
+request, which only the dense solve makes (a request for more than about
+m/6 eigenvalues, all m among them).  The collocation matrix on [a, b] is
 (b-a)^(2r) times it, with the same eigenvectors, so every interval is
 solved on this one matrix of (r, m); the grid keeps the nodes of [a, b].
 """
@@ -18,6 +17,7 @@ solved on this one matrix of (r, m); the grid keeps the nodes of [a, b].
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +39,9 @@ def build_grid(interval: Interval, m: int) -> Grid:
     if int(m) != m or m < 1:
         raise ValidationError(f"need at least one interior node (m >= 1), got m={m}")
     m = int(m)
+    # no machine holds 2^62 bytes of nodes; near 2^63 numpy raises ValueError, not MemoryError
+    if (m + 2) * 16 > sys.maxsize:
+        raise ValidationError(f"m={m} is too large: its {m + 2} float64 nodes fit no machine's memory")
     h = interval.span / (m + 1)
     nodes = interval.a + h * np.arange(m + 2)
     nodes[-1] = interval.b  # clamp: no 1-ulp overshoot past b
@@ -116,11 +119,3 @@ def assemble(kernel: Kernel, grid: Grid) -> NystromSystem:
     Y.setflags(write=False)
     return NystromSystem(kernel=kernel, grid=grid, X=X, Y=Y)
 
-
-def matrix_text(system: NystromSystem) -> str:
-    """Debug dump: whitespace-separated float64 text, one row per line.
-
-    Every entry is rendered as `fmt` renders it, one template per row.
-    """
-    template = " ".join(["%.17g"] * system.grid.m)
-    return "".join(template % tuple(row) + "\n" for row in system.matrix.tolist())

@@ -399,7 +399,14 @@ def dense_top_eigenvalues(A, count):
     return scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=(m - count, m - 1))[::-1]
 
 
-def dense_top_eigenpairs(A, count, r):
+def dense_top_eigh(A, count):
+    """The `count` largest eigenvalues of a symmetric matrix and their vectors, descending, by LAPACK."""
+    m = A.shape[0]
+    w, v = scipy.linalg.eigh(A, subset_by_index=(m - count, m - 1))
+    return w[::-1], v[:, ::-1]
+
+
+def dense_top_eigenpairs(A, count, r, solved=None):
     """The `count` largest eigenpairs of the [0, 1] matrix A of order r, by LAPACK's dense solver.
 
     The dense form of `nwidth.eigensolver.top_eigenpairs`: the same
@@ -407,16 +414,16 @@ def dense_top_eigenpairs(A, count, r):
     package's `sample_error_bound` and `oriented`), with residuals from
     the formed product A @ V and their limit RESIDUAL_TOL times the
     Frobenius norm of A.  Raises ValueError where the package raises
-    NumericalError.
+    NumericalError.  `solved`, the (w, v) of `dense_top_eigh(A, j)` for
+    some j > count, saves the solve.
     """
     from nwidth.eigensolver import (
         ASSEMBLY_ROUNDING, ORTHO_TOL, RESIDUAL_TOL, TIE_REL_TOL, Eigenpair, oriented, sample_error_bound,
     )
 
-    m = A.shape[0]
-    solved = min(count + 1, m)  # one pair beyond the request gives the last pair's lower gap
-    w, v = scipy.linalg.eigh(A, subset_by_index=(m - solved, m - 1))
-    w, v = w[::-1], v[:, ::-1]
+    size = min(count + 1, A.shape[0])  # one pair beyond the request gives the last pair's lower gap
+    w, v = dense_top_eigh(A, size) if solved is None else solved
+    w, v = w[:size], v[:, :size]
     if not (np.all(w[:count] > 0) and np.all(np.diff(w[:count]) < -TIE_REL_TOL * w[: count - 1])):
         raise ValueError("nonpositive or tied eigenvalues")
     V = v[:, :count] / np.abs(v[:, :count]).max(axis=0)

@@ -320,7 +320,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     if len(outputs) == 2 and outputs[0] != outputs[1]:
         failures.append("consecutive runs differ byte-for-byte")
     if not failures:
-        rows = list(csv.DictReader((tmp_path / "first.csv").open()))
+        rows = list(csv.DictReader((tmp_path / "first.csv").read_text().splitlines()))
         if len(rows) != 3:
             failures.append(f"expected 3 data rows, got {len(rows)}")
     report(9, "two identical CLI runs produce bit-identical CSV", failures)

@@ -1,7 +1,6 @@
 import argparse
 import csv
 import errno
-import hashlib
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from nwidth import Interval, Kernel, assemble, build_grid, eigensolver, nystrom
 from nwidth._io import json_text
 from nwidth.cli import DEFAULT_H_LIST, DEFAULT_H_REF, _build_parser, main, parse_args
 
-from oracles import dense_top_eigenvalues, kernel_r1
+from oracles import dense_top_eigenvalues
 
 EPS = np.finfo(float).eps
 
@@ -58,7 +57,7 @@ def test_rejects_unknown_flag():
     assert err.value.code == 1
 
 
-def test_rejects_bad_inputs():
+def test_rejects_bad_inputs(capsys):
     for argv in (
         ["compute", "--r", "1", "--n", "abc"],
         ["compute", "--r", "1", "--n", "5..2"],
@@ -77,6 +76,9 @@ def test_rejects_bad_inputs():
         ["compute", "--r", "1", "--n", "1", "--threads", "0"],
         ["compute", "--r", "1", "--n", "1", "--m", "0"],
         ["compute", "--r", "1", "--n", "1", "--interval", "a,b"],
+        # b - a overflows float64
+        ["compute", "--r", "1", "--n", "1", "--interval=-1e308,1e308"],
+        ["compute", "--r", "1", "--n", "1", "--dump-matrix", "A.txt"],
         ["conjecture-table", "--r-max", "0"],
         ["conjecture-table", "--r-max", "21"],
         ["convergence", "--r", "1", "--h-list", ","],
@@ -86,6 +88,7 @@ def test_rejects_bad_inputs():
         with pytest.raises(SystemExit) as err:
             parse(argv)
         assert err.value.code == 1
+        assert "Warning" not in capsys.readouterr().err
 
 
 def test_h_list_parsing():
@@ -253,7 +256,7 @@ def test_compute_writes_csv(tmp_path):
     out = tmp_path / "rows.csv"
     code = main(["compute", "--r", "1", "--n", "1..3", "--m", "63", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 3
     assert abs(float(rows[0]["d_n"]) - 1.0 / math.pi) / (1.0 / math.pi) < 1e-3
     assert float(rows[0]["lower"]) == pytest.approx(math.pi, rel=1e-15)
@@ -327,7 +330,7 @@ def test_cli_runs_import_neither_scipy_nor_numpy_random(monkeypatch):
 
 
 def _assert_rows_agree(csv_path, json_rows, count):
-    csv_rows = list(csv.DictReader(csv_path.open()))
+    csv_rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(csv_rows) == len(json_rows) == count
     for c, j in zip(csv_rows, json_rows):
         assert list(c) == list(j)
@@ -365,7 +368,7 @@ def test_json_and_csv_agree(tmp_path):
     curves = json.loads((tmp_path / "phi.json").read_text())
     assert [curve["k"] for curve in curves] == [1, 2, 3]
     for curve in curves:
-        rows = list(csv.DictReader((tmp_path / f"phi_k{curve['k']}.csv").open()))
+        rows = list(csv.DictReader((tmp_path / f"phi_k{curve['k']}.csv").read_text().splitlines()))
         assert [float(row["x"]) for row in rows] == curve["x"]
         assert [float(row["phi"]) for row in rows] == curve["phi"]
 
@@ -416,20 +419,6 @@ def test_json_nonfinite_values_are_null(capsys):
         assert row["d_n"] is None and row["dn_inv_r"] is None and row["rel_err"] is None
 
 
-def test_dump_matrix(tmp_path):
-    out = tmp_path / "rows.csv"
-    dump = tmp_path / "matrix.txt"
-    code = main(
-        ["compute", "--r", "1", "--n", "1", "--m", "5", "--out", str(out), "--dump-matrix", str(dump)]
-    )
-    assert code == 0
-    A = np.loadtxt(dump)
-    assert A.shape == (5, 5)
-    h = 1.0 / 6.0
-    expected = h * kernel_r1(0.0, 1.0, 2 * h, 3 * h)
-    assert A[1, 2] == expected
-
-
 def counting_kernel_column(monkeypatch):
     """Calls of the m x m product, recorded by replacing it in `nwidth.nystrom`."""
     calls = []
@@ -443,24 +432,15 @@ def counting_kernel_column(monkeypatch):
     return calls
 
 
-def test_dump_matrix_forms_the_matrix_once(tmp_path, monkeypatch):
-    # the eigenvalue solve needs only the factors; the dump alone forms the matrix
+@pytest.mark.parametrize("argv", [
+    ["knots", "--r", "3", "--k", "1..4", "--m", "127"],
+    ["eigenfunctions", "--r", "3", "--k", "1..4", "--m", "127"],
+    # an eigenvalue solve needs only the factors too
+    ["compute", "--r", "2", "--n", "2..3", "--m", "31"],
+], ids=lambda argv: argv[0])
+def test_eigenpair_commands_form_no_matrix(argv, tmp_path, monkeypatch):
     calls = counting_kernel_column(monkeypatch)
-    dump = tmp_path / "A.txt"
-    argv = ["compute", "--r", "2", "--n", "2..3", "--m", "31", "--out", str(tmp_path / "rows.csv"),
-            "--dump-matrix", str(dump)]
-    assert main(argv) == 0
-    assert len(calls) == 1
-    # the dump of the matrix assembled in one piece, reproduced byte for byte
-    digest = "4f842ac70c073add7b0607af81dc6c14d2b6d2f5c3fb0a2b15d345134a5b87e8"
-    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("command", ["knots", "eigenfunctions"])
-def test_eigenpair_commands_form_no_matrix(command, tmp_path, monkeypatch):
-    calls = counting_kernel_column(monkeypatch)
-    argv = [command, "--r", "3", "--k", "1..4", "--m", "127", "--out", str(tmp_path / "out.csv")]
-    assert main(argv) == 0
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == []
 
 
@@ -483,12 +463,13 @@ def test_knots_on_a_mesh_whose_matrix_does_not_fit_in_memory(capsys):
     assert all(0 < z < 1 for z in zeros)
 
 
-def test_out_of_memory_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+def test_out_of_memory_is_a_numerical_failure(monkeypatch, capsys):
     def fail(*args):
         raise MemoryError("Unable to allocate 32.0 GiB for an array with shape (65535, 65535)")
 
     monkeypatch.setattr(nystrom, "kernel_column", fail)
-    argv = ["compute", "--r", "3", "--n", "3..4", "--m", "63", "--dump-matrix", str(tmp_path / "A.txt")]
+    # 38 eigenvalues of m = 63 (3 * 77 > 63) go to the dense solve, which forms the matrix
+    argv = ["compute", "--r", "3", "--n", "3..40", "--m", "63"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err
@@ -524,7 +505,7 @@ def test_knots_csv(tmp_path):
     out = tmp_path / "knots.csv"
     code = main(["knots", "--r", "1", "--k", "3", "--m", "64", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2
     zeros = [float(row["zero"]) for row in rows]
     np.testing.assert_allclose(zeros, [1 / 3, 2 / 3], atol=1e-6)
@@ -573,9 +554,9 @@ def test_convergence_files(tmp_path):
         ]
     )
     assert code == 0
-    points = list(csv.DictReader(out.open()))
+    points = list(csv.DictReader(out.read_text().splitlines()))
     assert len(points) == 8
-    summary = list(csv.DictReader((tmp_path / "conv_summary.csv").open()))
+    summary = list(csv.DictReader((tmp_path / "conv_summary.csv").read_text().splitlines()))
     assert len(summary) == 2
     for row in summary:
         assert abs(float(row["fitted_order"]) - 2.0) < 0.2
@@ -601,16 +582,15 @@ def test_conjecture_table_cli(tmp_path):
     out = tmp_path / "table.csv"
     code = main(["conjecture-table", "--r-max", "2", "--m", "63", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 12
     assert [int(row["r"]) for row in rows] == [1] * 6 + [2] * 6
 
 
 @pytest.mark.parametrize("argv, target, code", [
     (["compute", "--r", "1", "--n", "1", "--m", "15", "--out"], "missing/x.csv", errno.ENOENT),
-    (["compute", "--r", "1", "--n", "1", "--m", "15", "--dump-matrix"], "missing/A.txt", errno.ENOENT),
     (["knots", "--r", "2", "--k", "1..2", "--m", "31", "--out"], "directory", errno.EISDIR),
-], ids=["out-in-a-missing-directory", "dump-matrix-in-a-missing-directory", "out-is-a-directory"])
+], ids=["out-in-a-missing-directory", "out-is-a-directory"])
 def test_an_unwritable_output_exits_1_with_one_line(argv, target, code, tmp_path, capsys):
     (tmp_path / "directory").mkdir()
     path = tmp_path / target
@@ -644,6 +624,33 @@ def test_a_mesh_size_beyond_float64_resolution_is_rejected(capsys):
     usage, _, error = capsys.readouterr().err.rpartition("nwidth: error: ")
     assert usage.startswith("usage: nwidth")
     assert error == f"{message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--r", "1", "--n", "1", "--m", str(2**62)],
+    ["knots", "--r", "1", "--k", "1", "--m", str(2**62)],
+    ["conjecture-table", "--r-max", "1", "--m", str(2**62)],
+    ["compute", "--r", "1", "--n", "1", "--m", str(2**63)],
+    ["compute", "--r", "1", "--n", "1", "--m", "99999999999999999999999"],
+    # numpy refuses these nodes with a ValueError, though they are fewer than sys.maxsize / 8
+    ["compute", "--r", "1", "--n", "1", "--m", str(2**60 - 3)],
+    # the reference mesh has m = 2^60 - 1
+    ["convergence", "--r", "1", "--n", "1", "--h-list", "2^-3", "--h-ref", "2^-60"],
+], ids=["compute", "knots", "conjecture-table", "compute-2^63", "compute-1e23", "compute-near-the-limit",
+        "convergence"])
+def test_a_mesh_beyond_any_memory_exits_1_with_one_line(argv, capsys):
+    _build_parser()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("nwidth: error: m=") and err.endswith("fit no machine's memory\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -88,6 +88,25 @@ def test_zero_count_is_rank_minus_one():
             assert np.all(np.diff(report.zeros) > 0)
 
 
+@pytest.mark.parametrize("m", [63, 255])
+def test_zeros_of_adjacent_ranks_strictly_interlace(m):
+    # the kernel is an oscillation kernel, so between two zeros of rank k+1
+    # lies one zero of rank k (Gantmacher and Krein): 6 pairs of ranks per r,
+    # separated by more than their estimated errors (smallest margin 0.018)
+    for r in range(1, 9):
+        system, pairs = pairs_for(r, m, 8)
+        reports = knot_reports(pairs[1:], system)
+        for lower, upper in zip(reports, reports[1:]):
+            k = lower.eigen_rank
+            merged = np.concatenate([upper.zeros, lower.zeros])
+            order = np.argsort(merged, kind="stable")
+            # upper's zeros (indices < k) and lower's alternate, upper's first and last
+            assert np.array_equal(order < k, np.arange(2 * k - 1) % 2 == 0), (r, k)
+            margin = np.diff(merged[order]).min()
+            assert margin > lower.error_estimate + upper.error_estimate, (r, k)
+            assert margin > 0.01, (r, k)
+
+
 def test_zeros_symmetric_about_midpoint():
     iv = Interval(-1.0, 1.0)
     system, pairs = pairs_for(2, 300, 4, interval=iv)

@@ -12,8 +12,6 @@ from nwidth import (
     kernel_eval,
     top_eigenvalues,
 )
-from nwidth._io import fmt
-from nwidth.nystrom import matrix_text
 
 from oracles import assemble_dd, deboor_matrix, dense_top_eigenvalues, kernel_r1, kernel_r2
 
@@ -166,12 +164,3 @@ def test_interval_mismatch_rejected():
     with pytest.raises(ValidationError):
         assemble(Kernel(1, UNIT), grid)
 
-
-def test_matrix_text_roundtrip(tmp_path):
-    system = assemble(Kernel(2, UNIT), build_grid(UNIT, 6))
-    text = matrix_text(system)
-    assert text == "".join(" ".join(fmt(v) for v in row) + "\n" for row in system.matrix)
-    path = tmp_path / "matrix.txt"
-    path.write_text(text)
-    loaded = np.loadtxt(path)
-    np.testing.assert_array_equal(loaded, system.matrix)
