@@ -7,6 +7,7 @@ shortest round-trip repr, and `records` turns non-finite values into null.
 import json
 import math
 import os
+import stat
 import tempfile
 
 
@@ -54,6 +55,13 @@ def atomic_write_text(path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+            try:  # not mkstemp's 0o600: the replaced file's mode, or what `open` gives a new file
+                mode = stat.S_IMODE(os.stat(path).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.fchmod(handle.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -51,18 +51,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _merge_negative_values(parser: _Parser, argv: list[str]) -> list[str]:
-    # argparse mistakes values like "-1,1" for option names; fold them into
-    # the preceding flag as --flag=value.  The flags are the options of the
-    # subcommands that take a value: every long option but --help.
-    (subcommands,) = (action.choices for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    flags = {flag for sub in subcommands.values() for action in sub._actions if action.nargs != 0
-             for flag in action.option_strings}
+def _merge_negative_values(argv: list[str]) -> list[str]:
+    # argparse mistakes values like "-1,1" for option names; fold each into the
+    # long option before it, full or abbreviated, as --option=value.  Every long
+    # option takes one value but --help (and its prefixes, like the "--" ending options).
     merged = argv[:1]
     for tok in argv[1:]:
-        if merged[-1] in flags and tok.startswith("-") and tok not in flags:
-            merged[-1] = f"{merged[-1]}={tok}"
+        prev = merged[-1]
+        if (prev.startswith("--") and "=" not in prev and not "--help".startswith(prev)
+                and tok.startswith("-") and not tok.startswith("--")):
+            merged[-1] = f"{prev}={tok}"
         else:
             merged.append(tok)
     return merged
@@ -171,7 +169,7 @@ def _build_parser() -> _Parser:
 def parse_args(argv: list[str]) -> argparse.Namespace:
     """The parsed arguments, their text values parsed in place; a bad value exits 1."""
     parser = _build_parser()
-    config = parser.parse_args(_merge_negative_values(parser, list(argv)))
+    config = parser.parse_args(_merge_negative_values(list(argv)))
     try:
         _check(config)
     except ValidationError as exc:

@@ -16,12 +16,13 @@ between opposite signs is a zero on that node; any other uncertain
 sample means the samples cannot separate the zeros.
 
 Each zero's error is estimated as the sample error bound divided by the
-slope of the samples across its bracket.  A float64 pair whose sign
-pattern is uncertain, or whose estimated zero error exceeds the
-tolerance, is first refined to double-double accuracy
-(`nwidth.extended`): at high rank the float64 eigenvector is
-limited by eps * lambda_1 / gap_k, which no finer mesh improves.  A run's
-pairs (`knot_reports`) share one such operator, built from their own
+slope of the samples across its bracket.  `extract_knots` reads a pair's
+samples as they are.  `knot_reports` is the one place that refines: a
+float64 pair whose sign pattern is uncertain, or whose estimated zero
+error exceeds the tolerance, is refined to double-double accuracy
+(`nwidth.extended`) and read again, since at high rank the float64
+eigenvector is limited by eps * lambda_1 / gap_k, which no finer mesh
+improves.  A run's pairs share one such operator, built from their own
 `NystromSystem`.  No zero is returned whose estimated error exceeds the
 tolerance.
 """
@@ -29,7 +30,7 @@ tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -184,51 +185,21 @@ def _zeros(pair: Eigenpair, grid: Grid, tol: float) -> tuple[np.ndarray, float]:
     return np.array([_refine(nodes, vals, i, j) for i, j in brackets]), float(error)
 
 
-def _refiner(system: NystromSystem, k_max: int) -> Callable[[Eigenpair], Eigenpair]:
-    """Double-double refinement of `system`'s pairs up to rank k_max, on one operator built on first use."""
-    extended = None
-
-    def refine(pair: Eigenpair) -> Eigenpair:
-        nonlocal extended
-        if extended is None:
-            from .extended import ExtendedSystem  # loaded only when a pair needs refining
-
-            extended = ExtendedSystem(system, k_max)
-        return extended.refine(pair)
-
-    return refine
-
-
-def extract_knots(pair: Eigenpair, system: NystromSystem, tol: float | None = None, *,
-                  refine: Callable[[Eigenpair], Eigenpair] | None = None) -> KnotReport:
-    """Locate and refine all zeros of the rank-k eigenfunction.
+def extract_knots(pair: Eigenpair, system: NystromSystem, tol: float | None = None) -> KnotReport:
+    """Locate and polish all zeros of the rank-k eigenfunction on the pair's own samples.
 
     `pair` is an eigenpair of `system`, whose kernel order labels the
     report.  Exactly k-1 zeros must appear, each with an estimated error
-    within tol, which defaults to 1e-10 * (b-a).  A pair whose error bound
-    stands in the way is refined beyond float64 first, by `refine` or else
-    on an operator built from `system` for its rank.
-    Raises NumericalError when the zeros stay unresolved: the rank is
-    beyond float64 precision (its eigenvalue gap is within rounding of
-    lambda_1), the mesh does not separate its zeros, tol is finer than
-    even the refined samples resolve, or the pair is not of `system`.
+    within tol, which defaults to 1e-10 * (b-a).  Raises NumericalError
+    when the samples leave the zeros unresolved; `knot_reports` answers
+    that by refining the pair beyond float64, which this never does.
     """
     grid = system.grid
     if tol is None:
         tol = DEFAULT_TOL_SCALE * float(grid.nodes[-1] - grid.nodes[0])
     if not 0 < tol < np.inf:
         raise ValidationError(f"refinement tolerance must be positive and finite, got {tol}")
-    try:
-        zeros, error = _zeros(pair, grid, tol)
-    except _Unresolved:
-        refined = (refine or _refiner(system, pair.index))(pair)
-        try:
-            zeros, error = _zeros(refined, grid, tol)
-        except _Unresolved as exc2:
-            raise NumericalError(
-                f"{exc2}, with samples refined beyond float64 to {refined.error_bound:.1e} "
-                f"(float64: {pair.error_bound:.1e}); {exc2.hint}"
-            ) from None
+    zeros, error = _zeros(pair, grid, tol)
     if zeros.size > 1 and np.any(np.diff(zeros) <= tol):
         raise NumericalError("adjacent zeros collide within the refinement tolerance")
     zeros.setflags(write=False)
@@ -238,10 +209,36 @@ def extract_knots(pair: Eigenpair, system: NystromSystem, tol: float | None = No
 
 def knot_reports(pairs: Sequence[Eigenpair], system: NystromSystem,
                  tol: float | None = None) -> list[KnotReport]:
-    """`extract_knots` of each of a run's pairs, refining those that need it on one double-double
-    operator, built on the first of them and sized for the highest rank: one correction solve."""
-    refine = _refiner(system, max(pair.index for pair in pairs))
-    return [extract_knots(pair, system, tol, refine=refine) for pair in pairs]
+    """`extract_knots` of each of a run's pairs of `system`, refining those its samples leave unresolved.
+
+    The refinement runs on one double-double operator, built on the first
+    pair that needs it and sized for the highest rank: one correction
+    solve.  Raises NumericalError when a refined pair is still unresolved:
+    the rank is beyond float64 precision (its eigenvalue gap is within
+    rounding of lambda_1), the mesh does not separate its zeros, tol is
+    finer than even the refined samples resolve, or the pair is not of
+    `system`.
+    """
+    extended = None
+    reports = []
+    for pair in pairs:
+        try:
+            report = extract_knots(pair, system, tol)
+        except _Unresolved:
+            if extended is None:
+                from .extended import ExtendedSystem  # loaded only when a pair needs refining
+
+                extended = ExtendedSystem(system, max(p.index for p in pairs))
+            refined = extended.refine(pair)
+            try:
+                report = extract_knots(refined, system, tol)
+            except _Unresolved as exc:
+                raise NumericalError(
+                    f"{exc}, with samples refined beyond float64 to {refined.error_bound:.1e} "
+                    f"(float64: {pair.error_bound:.1e}); {exc.hint}"
+                ) from None
+        reports.append(report)
+    return reports
 
 
 def knot_rows(reports: Iterable[KnotReport]) -> list[tuple]:

@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -122,8 +123,10 @@ def test_every_long_option_but_help_takes_one_value():
 
 @pytest.mark.parametrize("command", REQUIRED)
 def test_a_negative_interval_is_merged_on_every_subcommand(command):
-    config = parse([command, *REQUIRED[command], "--interval", "-1,1"])
-    assert (config.interval.a, config.interval.b) == (-1.0, 1.0)
+    # after the option's full name, and after an abbreviation where the subcommand takes them
+    for flag in ("--interval",) if command == "conjecture-table" else ("--interval", "--int"):
+        config = parse([command, *REQUIRED[command], flag, "-1,1"])
+        assert (config.interval.a, config.interval.b) == (-1.0, 1.0)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -612,6 +615,25 @@ def test_stdout_holds_the_out_files_with_a_blank_line_between(argv, files, tmp_p
     assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
     assert sorted(path.name for path in tmp_path.iterdir()) == files
     assert text == "\n".join((tmp_path / name).read_text() for name in files)
+
+
+def test_out_files_get_the_mode_open_gives_and_a_replaced_file_keeps_its_own(tmp_path):
+    # not the 0o600 of the temporary file each is written to before the rename
+    argv = ["convergence", "--r", "1", "--n", "1..2", "--h-list", "2^-3,2^-4", "--h-ref", "analytic",
+            "--out", str(tmp_path / "t.csv")]
+
+    def modes():
+        return {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+
+    umask = os.umask(0o022)
+    try:
+        assert main(argv) == 0
+        assert modes() == {"t.csv": 0o644, "t_summary.csv": 0o644}
+        (tmp_path / "t.csv").chmod(0o640)
+        assert main(argv) == 0
+        assert modes() == {"t.csv": 0o640, "t_summary.csv": 0o644}
+    finally:
+        os.umask(umask)
 
 
 def test_a_mesh_size_beyond_float64_resolution_is_rejected(capsys):

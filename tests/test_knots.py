@@ -291,7 +291,7 @@ def test_high_rank_zeros_refined_beyond_float64():
     iv = Interval(-1.0, 1.0)
     system, pairs = pairs_for(12, 160, 11, interval=iv)
     assert pairs[10].error_bound > 1e-6
-    report = extract_knots(pairs[10], system)
+    (report,) = knot_reports([pairs[10]], system)
     assert report.zeros.size == 10
     assert report.error_estimate <= report.refinement_tol
     np.testing.assert_allclose(report.zeros, -report.zeros[::-1], atol=1e-14)
@@ -308,7 +308,7 @@ def assert_unresolved(pair, system, message):
     with pytest.raises(NumericalError, match=message):
         knots._zeros(pair, system.grid, knots.DEFAULT_TOL_SCALE)
     with pytest.raises(NumericalError, match=f"is not the rank-{pair.index} eigenpair"):
-        extract_knots(pair, system)
+        knot_reports([pair], system)
 
 
 def test_consecutive_vanishing_samples_rejected():
@@ -334,7 +334,7 @@ def test_pair_of_another_order_rejected_when_refined():
     iv = Interval(-1.0, 1.0)
     _, pairs = pairs_for(12, 160, 11, interval=iv)
     with pytest.raises(NumericalError, match="not the rank-11 eigenpair of the r=11"):
-        extract_knots(pairs[10], system_of(11, 160, iv))
+        knot_reports([pairs[10]], system_of(11, 160, iv))
 
 
 def test_colliding_zeros_rejected_for_huge_tolerance():
@@ -384,7 +384,21 @@ def test_a_run_refines_on_one_operator(monkeypatch):
     assert [report.zeros.size for report in reports] == [9, 10]
     # the same zeros as on an operator sized for each rank alone
     for pair, report in zip(pairs[9:], reports):
-        assert np.abs(report.zeros - extract_knots(pair, system).zeros).max() <= report.refinement_tol
+        alone = knot_reports([pair], system)[0]
+        assert np.abs(report.zeros - alone.zeros).max() <= report.refinement_tol
+
+
+def test_extract_knots_alone_never_refines(monkeypatch):
+    # a pair that needs refining is unresolved on its own float64 samples
+    from nwidth import extended
+
+    def forbidden(*args):
+        raise AssertionError("extract_knots built a double-double operator")
+
+    monkeypatch.setattr(extended, "ExtendedSystem", forbidden)
+    system, pairs = pairs_for(12, 160, 11, interval=Interval(-1.0, 1.0))
+    with pytest.raises(NumericalError, match="exceeds the tolerance"):
+        extract_knots(pairs[10], system)
 
 
 @pytest.mark.xfail(strict=True, reason="error_estimate counts only the samples' error, "
