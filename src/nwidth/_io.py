@@ -4,6 +4,8 @@ JSON output is one compact line from the C encoder: every float is its
 shortest round-trip repr, and `records` turns non-finite values into null.
 """
 
+import contextlib
+import errno
 import json
 import math
 import os
@@ -47,25 +49,50 @@ def csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temporary file in the same directory plus rename."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nwidth-", suffix=".tmp")
+def _temporary_copy(path: str, text: str) -> str:
+    """A temporary file beside path that holds text, with path's mode, or the mode `open` gives a new file.
+
+    Not mkstemp's 0o600.  A path that is a directory fails here, before
+    any file is made, not at the rename.
+    """
+    try:
+        info = os.stat(path)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        mode = stat.S_IMODE(info.st_mode)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".nwidth-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
-            try:  # not mkstemp's 0o600: the replaced file's mode, or what `open` gives a new file
-                mode = stat.S_IMODE(os.stat(path).st_mode)
-            except FileNotFoundError:
-                umask = os.umask(0)
-                os.umask(umask)
-                mode = 0o666 & ~umask
             os.fchmod(handle.fileno(), mode)
-        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        os.unlink(tmp)
         raise
+    return tmp
+
+
+def atomic_write_texts(files) -> None:
+    """Write each (path, text) pair: every text to a temporary file beside its path, then each renamed into place.
+
+    A path that cannot be written (a directory, or a temporary file that
+    cannot be made or filled) fails before the first rename, so every path
+    is left as it was.  No temporary file is left behind, and the OSError
+    raised names the path, not its temporary file.
+    """
+    staged = []  # (path, temporary file)
+    try:
+        for path, text in files:
+            staged.append((path, _temporary_copy(path, text)))
+        for path, tmp in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for _, tmp in staged:
+            with contextlib.suppress(FileNotFoundError):  # renamed into place
+                os.unlink(tmp)

@@ -7,10 +7,16 @@ float64 resolution, or an eigensolve that exhausts its iteration budget)
 or out of memory.  Output is CSV, or with --format json one compact JSON
 line whose floats round-trip and whose non-finite values are null.
 
-Eigenpairs come from a Lanczos solver in numpy on the O(m r) product of
-the collocation matrix, which is formed only for a dense solve of a large
-share of its eigenvalues.  The run uses one OpenBLAS thread unless
-OPENBLAS_NUM_THREADS is set in the environment, whose value is kept.
+Eigenpairs come from a Lanczos solver in numpy on a blocked product with
+the collocation matrix, O(m (16 + 2r)) operations each; the matrix itself
+is formed only for a dense solve of a large share of its eigenvalues.
+The run uses one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set in
+the environment, whose value is kept.
+
+Determinism: the same arguments give the same output bytes.  Runs on the
+Lanczos solver give them for any OpenBLAS thread count; the dense solve,
+taken for more than about m/6 eigenvalues, agrees between thread counts
+only within its float64 accuracy.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import os
 import sys
 
-from ._io import atomic_write_text, json_text, records
+from ._io import atomic_write_texts, json_text, records
 from .convergence import (
     POINTS_CSV_HEADER,
     SUMMARY_CSV_HEADER,
@@ -231,7 +237,8 @@ def _emit(config: argparse.Namespace, payload, tables) -> None:
     """Write payload() as JSON or the CSV tables(), (tag, text) pairs, to stdout or --out.
 
     Stdout gets the texts with a blank line between them; --out gets the
-    untagged text, and <stem>_<tag><ext> beside it each tagged one.
+    untagged text, and <stem>_<tag><ext> beside it each tagged one; when
+    one of them cannot be written, none is replaced.
     """
     outputs = [(None, json_text(payload()))] if config.fmt == "json" else tables()
     if config.out is None:
@@ -245,12 +252,11 @@ def _emit(config: argparse.Namespace, payload, tables) -> None:
             raise ValidationError(f"cannot write standard output: {exc.strerror}") from None
         return
     root, ext = os.path.splitext(config.out)
-    for tag, text in outputs:
-        path = config.out if tag is None else f"{root}_{tag}{ext or '.csv'}"
-        try:
-            atomic_write_text(path, text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        atomic_write_texts((config.out if tag is None else f"{root}_{tag}{ext or '.csv'}", text)
+                           for tag, text in outputs)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {exc.filename}: {exc.strerror}") from None
 
 
 def _emit_rows(config: argparse.Namespace, rows) -> None:

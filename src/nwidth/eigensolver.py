@@ -5,9 +5,11 @@ eigenvalues to [a, b], and the eigenvectors are the same on every interval.
 
 Eigenvalues and eigenpairs come from one solver, a thick-restart Lanczos
 method (Wu and Simon, *SIAM J. Matrix Anal. Appl.* 22, 2000) in numpy on
-the O(m r) product of `NystromSystem.matvec`, so no m x m array is
-formed.  Its basis holds max(MIN_BASIS, 2 count + 1) vectors, ARPACK's
-default, and is reorthogonalized in full at every step.  When it is full,
+the blocked semiseparable product of `NystromSystem.matvec`: dense
+diagonal blocks of nystrom.BLOCK rows plus the rank-r coupling between
+blocks, O(m (BLOCK + 2r)), so no m x m array is formed.  Its basis holds
+max(MIN_BASIS, 2 count + 1) vectors, ARPACK's default, and is
+reorthogonalized in full at every step.  When it is full,
 the projected matrix (tridiagonal, plus an arrowhead after a restart) is
 diagonalized; a Ritz pair whose residual estimate beta |s_i| has fallen
 to eps |theta_i| (ARPACK's test at tol = 0) is locked and leaves the
@@ -63,8 +65,8 @@ GAP_MARGIN = 16.0
 #: the de Boor matrix, kept as `DenseExtendedSystem` in `tests/oracles.py`.
 #: Every interval is solved on the one [0, 1] matrix of its (r, m); over
 #: r = 1..20, m = 240, 500, 1000, 2047 and ranks 1..8 every float64 sample
-#: of the Lanczos pairs lay within 0.169 of its bound of the refined one
-#: (largest at r = 19, m = 240, rank 3).
+#: of the Lanczos pairs, on the blocked product, lay within 0.144 of its
+#: bound of the refined one (largest at r = 17, m = 240, rank 4).
 ASSEMBLY_ROUNDING = 0.25
 _EPS = float(np.finfo(np.float64).eps)
 #: Fewest vectors in a Lanczos basis; a request for count values gets

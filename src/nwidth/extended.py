@@ -18,9 +18,9 @@ With 2^e > m+1 every k 2^-e is exact in float64; X_i is formed from
 the powers of these bases in double-double (each power the one before
 times the base), Y_i as (-1)^i C(2r-1, r-1-i) X_i(m+1-l), and s, with
 the powers of two put back, is rounded once from exact integers.  A
-product is the two cumulative sums of `NystromSystem.matvec`, each a
-log-depth scan in double-double (Hillis and Steele, *Comm. ACM* 29,
-1986): O(m r) memory, no m x m array.
+product is two cumulative sums over the nodes, each a log-depth scan in
+double-double (Hillis and Steele, *Comm. ACM* 29, 1986): O(m r) memory,
+no m x m array.
 
 `ExtendedSystem.refine` runs residual-correction iterations: the residual
 is formed in double-double, and the correction is solved in float64 on
@@ -146,7 +146,7 @@ class ExtendedSystem:
         self.values, self.vectors = _solve(system, min(max(3 * k_max, MIN_BASIS), m), vectors=True)
 
     def matvec(self, xh: np.ndarray, xl: np.ndarray):
-        """A (xh + xl) in double-double, from the two cumulative sums of `NystromSystem.matvec`.
+        """A (xh + xl) in double-double, from two cumulative sums over the nodes.
 
             (A x)_k = s (X_k . sum_{l>=k} Y_l x_l  +  Y_k . sum_{l<k} X_l x_l)
         """

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,8 +153,12 @@ def conjecture_table(r_max: int = 20, m: int = 2047, interval: Interval | None =
     return rows
 
 
+#: A row's fields as a tuple; shallow, unlike `dataclasses.astuple`, whose deep copy cost more than the CSV.
+_fields = attrgetter(*(field.name for field in fields(NWidthResult)))
+
+
 def _cells(rows: Iterable[NWidthResult]) -> list[tuple]:
-    return [astuple(row) for row in rows]
+    return [_fields(row) for row in rows]
 
 
 def results_records(rows: Iterable[NWidthResult]) -> list[dict]:

@@ -332,6 +332,24 @@ def test_cli_runs_import_neither_scipy_nor_numpy_random(monkeypatch):
     assert _probe(OPENBLAS_NUM_THREADS="2")[2] == "2"
 
 
+@pytest.mark.parametrize("argv", [
+    ["conjecture-table", "--m", "511", "--interval=-0.7313,1.2345"],
+    ["knots", "--r", "5", "--k", "1..8", "--m", "511"],
+], ids=lambda argv: argv[0])
+def test_lanczos_runs_print_the_same_bytes_for_any_blas_thread_count(argv):
+    # the determinism contract of the cli docstring; the dense branch (a large
+    # share of the eigenvalues, as `compute --r 2 --n 2..400 --m 511`) is known
+    # to differ between thread counts within its float64 accuracy, so it is not run here
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-m", "nwidth", *argv], env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def _assert_rows_agree(csv_path, json_rows, count):
     csv_rows = list(csv.DictReader(csv_path.read_text().splitlines()))
     assert len(csv_rows) == len(json_rows) == count
@@ -601,6 +619,24 @@ def test_an_unwritable_output_exits_1_with_one_line(argv, target, code, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"nwidth: error: cannot write {path}: {os.strerror(code)}\n"
+    assert list(tmp_path.rglob(".nwidth-*")) == []
+
+
+@pytest.mark.parametrize("directory", ["conv.csv", "conv_summary.csv"])
+def test_an_out_of_several_files_that_cannot_be_written_replaces_none(directory, tmp_path, capsys):
+    # every file is written to its temporary file before the first is renamed into place
+    for name in ("conv.csv", "conv_summary.csv"):
+        path = tmp_path / name
+        path.mkdir() if name == directory else path.write_text("old\n")
+    argv = ["convergence", "--r", "1", "--h-list", "2^-3,2^-4", "--h-ref", "analytic",
+            "--out", str(tmp_path / "conv.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if not line.startswith("note: ")]
+    assert errors == [f"nwidth: error: cannot write {tmp_path / directory}: {os.strerror(errno.EISDIR)}"]
+    for name in ("conv.csv", "conv_summary.csv"):
+        assert name == directory or (tmp_path / name).read_text() == "old\n"
     assert list(tmp_path.rglob(".nwidth-*")) == []
 
 

@@ -160,6 +160,26 @@ def test_operator_matches_the_matrix_product(m):
         assert err <= 8 * EPS * dense_top6(r, m)[0] * np.linalg.norm(x), f"r={r}"
 
 
+@pytest.mark.parametrize("m", [1, 2, 15, 16, 17, 31, 33, 63])
+def test_operator_matches_the_matrix_product_around_the_block_size(m):
+    # the blocked product cuts the rows into blocks of nystrom.BLOCK = 16:
+    # one partial block, whole blocks, and a row or two beyond them
+    rng = np.random.default_rng(m)
+    for r in ALL_R:
+        system = system_for(r, m)
+        x = rng.standard_normal(m)
+        err = np.linalg.norm(system.matvec(x) - system.matrix @ x)
+        assert err <= 8 * EPS * np.linalg.eigvalsh(system.matrix)[-1] * np.linalg.norm(x), f"r={r}"
+
+
+def test_operator_reads_the_width_of_its_factors():
+    # X = I is 40 columns wide, not the kernel's r = 1
+    d = np.linspace(1.0, 2.0, 40)
+    system = diagonal_system(d)
+    x = np.random.default_rng(40).standard_normal(40)
+    np.testing.assert_allclose(system.matvec(x), d * x / 41**2, rtol=4 * EPS)
+
+
 def admitted_dense_pairs(r, m, most=8):
     """The oracle's pairs of every rank up to `most` that its positivity and tie checks admit."""
     A = system_for(r, m).matrix
